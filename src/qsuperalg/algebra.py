@@ -3,8 +3,9 @@
 Builds the Chevalley generators as difference/differential operators on
 the coordinate chart, in three flavours:
 
-  * ``classical``: h_i, e_i, f_i with ordinary derivatives and plain
-    linear-form multiplications (no q anywhere);
+  * ``classical``: the q -> 1 form of ``prop2``: h_i, e_i, f_i with
+    ordinary derivatives and plain linear-form multiplications (no q
+    anywhere);
   * ``prop2``: the quantum generators with exponents written through the
     full triple sums over the Cartan matrix;
   * ``prop3``: the quantum generators with the exponents reduced to
@@ -192,70 +193,69 @@ def _eta_prop2(data, cs, i, j, weights):
 
 
 def _f_terms(data, cs, i, variant, weights):
+    """f_i in any variant; the classical form is prop2 at q = 1."""
     nu = data.nu
-    rho = _rho_prop2 if variant == "prop2" else _rho_prop3
-    eta = _eta_prop2 if variant == "prop2" else _eta_prop3
+    diff = variant == "classical"
+    rho = _rho_prop3 if variant == "prop3" else _rho_prop2
+    eta = _eta_prop3 if variant == "prop3" else _eta_prop2
+    deriv = "d" if diff else "D"
     terms = []
     for j in range(1, i):
-        ops = (("qpow", rho(data, cs, i, j, weights)),
-               ("x", cs.pos[(j, i)]), ("D", cs.pos[(j, i - 1)]))
+        ops = (("x", cs.pos[(j, i)]), (deriv, cs.pos[(j, i - 1)]))
+        if not diff:
+            ops = (("qpow", rho(data, cs, i, j, weights)),) + ops
         terms.append((ONE if nu[i] > 0 else MINUS_ONE, ops))
     for j in range(i + 1, data.K + 1):
-        ops = (("qpow", -eta(data, cs, i, j, weights)),
-               ("x", cs.pos[(i, j)]), ("D", cs.pos[(i + 1, j)]))
+        ops = (("x", cs.pos[(i, j)]), (deriv, cs.pos[(i + 1, j)]))
+        if not diff:
+            ops = (("qpow", -eta(data, cs, i, j, weights)),) + ops
         terms.append((MINUS_ONE if nu[i + 1] > 0 else ONE, ops))
-    if variant == "prop2":
-        tail = _weight_form(i, weights) - _triple_sum(data, cs, i, i + 1) \
-            + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
-    else:
+    if variant == "prop3":
         tail = _weight_form(i, weights) \
             + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
         for l in range(i + 1, data.K + 1):
             tail = tail + _m(cs, i, l, -nu[i]) + _m(cs, i + 1, l, nu[i + 1])
-    terms.append((ONE, (("x", cs.pos[(i, i)]), ("qnum", tail))))
+    else:
+        tail = _weight_form(i, weights) - _triple_sum(data, cs, i, i + 1) \
+            + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
+    terms.append((ONE, (("x", cs.pos[(i, i)]),
+                        ("lin" if diff else "qnum", tail))))
     return terms
+
+
+def _build(data, weights, variant):
+    cs = CoordSystem(data.M, data.N)
+    diff = variant == "classical"
+    t, e, f, t_form = {}, {}, {}, {}
+    for i in range(1, data.K + 1):
+        if variant == "prop3":
+            form = _t_form_prop3(data, cs, i, weights)
+        else:
+            form = _weight_form(i, weights) - _triple_sum(data, cs, i, 1)
+        t_form[i] = form
+        t[i] = OpExpr.term(cs, (("lin" if diff else "qpow", form),))
+        e[i] = OpExpr(cs, _e_terms(data, cs, i, diff))
+        f[i] = OpExpr(cs, _f_terms(data, cs, i, variant, weights))
+    return GeneratorSet(data, cs, variant, weights, t, e, f, t_form)
 
 
 def build_quantum(data, weights=None, variant="prop3"):
     """The quantum generator set; weights None means symbolic markers."""
     if variant not in ("prop2", "prop3"):
         raise ValueError("variant must be prop2 or prop3")
-    cs = CoordSystem(data.M, data.N)
-    t, e, f, t_form = {}, {}, {}, {}
-    for i in range(1, data.K + 1):
-        if variant == "prop2":
-            form = _weight_form(i, weights) - _triple_sum(data, cs, i, 1)
-        else:
-            form = _t_form_prop3(data, cs, i, weights)
-        t_form[i] = form
-        t[i] = OpExpr.term(cs, (("qpow", form),))
-        e[i] = OpExpr(cs, _e_terms(data, cs, i, diff=False))
-        f[i] = OpExpr(cs, _f_terms(data, cs, i, variant, weights))
-    return GeneratorSet(data, cs, variant, weights, t, e, f, t_form)
+    return _build(data, weights, variant)
 
 
 def build_classical(data, weights=None):
     """The classical generator set of plain differential operators."""
-    cs = CoordSystem(data.M, data.N)
-    h, e, f, h_form = {}, {}, {}, {}
-    nu = data.nu
-    for i in range(1, data.K + 1):
-        form = _weight_form(i, weights) - _triple_sum(data, cs, i, 1)
-        h_form[i] = form
-        h[i] = OpExpr.term(cs, (("lin", form),))
-        e[i] = OpExpr(cs, _e_terms(data, cs, i, diff=True))
-        terms = []
-        for l in range(1, i):
-            terms.append((ONE if nu[i] > 0 else MINUS_ONE,
-                          (("x", cs.pos[(l, i)]), ("d", cs.pos[(l, i - 1)]))))
-        for l in range(i + 1, data.K + 1):
-            terms.append((MINUS_ONE if nu[i + 1] > 0 else ONE,
-                          (("x", cs.pos[(i, l)]), ("d", cs.pos[(i + 1, l)]))))
-        tail = _weight_form(i, weights) - _triple_sum(data, cs, i, i + 1) \
-            + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
-        terms.append((ONE, (("x", cs.pos[(i, i)]), ("lin", tail))))
-        f[i] = OpExpr(cs, terms)
-    return GeneratorSet(data, cs, "classical", weights, h, e, f, h_form)
+    return _build(data, weights, "classical")
+
+
+def build_generators(data, weights=None, variant="prop3"):
+    """The generator set of any variant: prop2, prop3 or classical."""
+    if variant == "classical":
+        return build_classical(data, weights)
+    return build_quantum(data, weights, variant)
 
 
 def build_xminus(gens, l, m):

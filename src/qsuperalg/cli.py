@@ -15,10 +15,9 @@ import argparse
 import json
 import sys
 
-from .scalars import qnum
 from . import superpoly as sp
 from .operators import graded_commutator
-from .algebra import (build_root_data, build_quantum, build_classical,
+from .algebra import (build_root_data, build_quantum, build_generators,
                       check_linform_identities)
 from .verify import run_full
 
@@ -35,13 +34,6 @@ def _parse_weights(cfg, parser):
             parser.error("expected %d weights" % (cfg.M + cfg.N + 1))
         return weights
     return None
-
-
-def _build(cfg, weights):
-    data = build_root_data(cfg.M, cfg.N)
-    if cfg.variant == "classical":
-        return build_classical(data, weights)
-    return build_quantum(data, weights, cfg.variant)
 
 
 def _emit(text, path):
@@ -66,7 +58,8 @@ def _term_dict(cs, coeff, ops):
 
 def cmd_generators(cfg, parser):
     weights = _parse_weights(cfg, parser)
-    gens = _build(cfg, weights)
+    gens = build_generators(build_root_data(cfg.M, cfg.N), weights,
+                            cfg.variant)
     prefix = "h" if cfg.variant == "classical" else "t"
     names = []
     for i in range(1, gens.data.K + 1):
@@ -153,6 +146,20 @@ def cmd_example_sl21(cfg, parser):
     return 0 if ok else 1
 
 
+_FLAGS = {
+    "M": dict(type=int, default=1),
+    "N": dict(type=int, default=0),
+    "mode": dict(choices=("symbolic", "integer"), default="symbolic"),
+    "weights": dict(default=None, help="comma-separated integers, required "
+                                       "with --mode integer"),
+    "degree": dict(type=int, default=3),
+    "nmax": dict(type=int, default=2),
+    "variant": dict(choices=("prop2", "prop3", "classical"), default="prop3"),
+    "format": dict(choices=("text", "json"), default="text"),
+    "output": dict(default=None),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qsuperalg",
@@ -161,35 +168,29 @@ def build_parser():
                     "verification of its defining relations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree=3):
-        p.add_argument("--M", type=int, default=1)
-        p.add_argument("--N", type=int, default=0)
-        p.add_argument("--mode", choices=("symbolic", "integer"),
-                       default="symbolic")
-        p.add_argument("--weights", default=None,
-                       help="comma-separated integers, required with "
-                            "--mode integer")
-        p.add_argument("--degree", type=int, default=degree)
-        p.add_argument("--nmax", type=int, default=2)
-        p.add_argument("--variant", choices=("prop2", "prop3", "classical"),
-                       default="prop3")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None)
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        return p
 
-    common(sub.add_parser("generators", help="print a generator set"))
-    common(sub.add_parser("verify", help="run the relation suites"))
-    common(sub.add_parser("identities",
-                          help="check the linear-form identities"))
-    common(sub.add_parser("example-sl21",
-                          help="transcript of the [e2,f2] check"))
+    add(sub.add_parser("generators", help="print a generator set"),
+        "M", "N", "mode", "weights", "variant", "format", "output")
+    add(sub.add_parser("verify", help="run the relation suites"), *_FLAGS)
+    add(sub.add_parser("identities", help="check the linear-form identities"),
+        "M", "N", "output")
+    # the transcript is fixed at sl(2|1), (M,N) = (1,0)
+    add(sub.add_parser("example-sl21", help="transcript of the [e2,f2] check"),
+        "mode", "weights", "output").set_defaults(M=1, N=0)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    if cfg.M < 0 or cfg.N < 0 or cfg.degree < 0 or cfg.nmax < 1:
-        parser.error("M, N, degree must be >= 0 and nmax >= 1")
+    if cfg.M < 0 or cfg.N < 0:
+        parser.error("M and N must be >= 0")
+    if cfg.command == "verify" and (cfg.degree < 0 or cfg.nmax < 1):
+        parser.error("degree must be >= 0 and nmax >= 1")
     handlers = {
         "generators": cmd_generators,
         "verify": cmd_verify,

@@ -71,11 +71,6 @@ class LinForm:
     def is_zero(self):
         return not self.coeffs and not self.const and not self.lam
 
-    def bind_weights(self, weights):
-        """Substitute integer weights (1-based list access via dict/list)."""
-        const = self.const + sum(c * weights[i - 1] for i, c in self.lam.items())
-        return LinForm(self.coeffs, const, None)
-
     def eval_const(self, mono):
         """Integer part of the form on a monomial's exponent vector."""
         v = self.const
@@ -263,10 +258,6 @@ class OpExpr(Operator):
         return OpExpr(cs, ((ONE, ()),))
 
     @staticmethod
-    def scalar(cs, c):
-        return OpExpr(cs, ((c, ()),))
-
-    @staticmethod
     def term(cs, ops, coeff=ONE):
         return OpExpr(cs, ((coeff, tuple(ops)),))
 
@@ -420,17 +411,12 @@ def graded_commutator(a, b, xi=None):
     return a.compose(b) + b.compose(a).scale(factor)
 
 
-def anticommutator(a, b):
-    return a.compose(b) + b.compose(a)
-
-
 # ---------------------------------------------------------------------------
 # degree-bounded monomial bases and extensional equality
 # ---------------------------------------------------------------------------
 
 def basis_monomials(cs, degree):
     """All monomials of total degree <= degree, graded then row-major lex."""
-    npos = cs.ncoords
     for total in range(degree + 1):
         yield from _monos_of_degree(cs, 0, total, ())
 

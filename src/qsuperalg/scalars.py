@@ -178,7 +178,10 @@ class RingElem:
 
     @staticmethod
     def from_rational(c):
-        c = c if isinstance(c, int) else Fraction(c)
+        if not isinstance(c, int):
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         if not c:
             return ZERO
         return RingElem({(0, ()): c}, None, _reduced=True)
@@ -266,9 +269,16 @@ class RingElem:
                 == lp_mul(other.num, qp_lift(self.den)))
 
     def __hash__(self):
-        # hash only data stable under the canonical representation of
-        # pure (q - q^-1)-power denominators; generic elements collide.
-        return hash(len(self.num))
+        # a == b means N_a^w D_b = N_b^w D_a for the numerator group N^w of
+        # every marker key w, so the set of keys and, per key, the top and
+        # bottom q-exponents of N^w less those of the denominator agree
+        lo, hi = min(self.den), max(self.den)
+        span = {}
+        for qe, wk in self.num:
+            a, b = span.get(wk, (qe, qe))
+            span[wk] = (min(a, qe), max(b, qe))
+        return hash(frozenset((wk, a - lo, b - hi)
+                              for wk, (a, b) in span.items()))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -359,6 +369,8 @@ def _reduce(num, den):
     lc = den[max(den)]
     if lc != 1:
         inv = Fraction(1, 1) / lc
+        if inv.denominator == 1:
+            inv = inv.numerator
         den = {e: c * inv for e, c in den.items()}
         num = lp_scale(num, inv)
     return num, den

@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 
 from .scalars import RingElem, qpow, qnum
 from . import superpoly as sp
-from .operators import (LinForm, OpExpr, graded_commutator,
-                        op_eq_on_basis)
-from .algebra import build_root_data, build_quantum, build_classical, \
-    build_xminus
-
-
-class RankTooSmall(Exception):
-    """No applicable instance at this rank."""
+from .operators import LinForm, OpExpr, graded_commutator, op_eq_on_basis
+from .algebra import build_root_data, build_generators, build_xminus
 
 
 @dataclass
@@ -82,37 +76,92 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-class _Suite:
-    """Accumulates instance checks for one relation family."""
+# classical suite of each quantum relation family: eqs. 20-23 -> 1-4 and
+# 39-42 -> 16-19 of the paper
+_CLASSICAL_TAG = {"Q20": "C1", "Q21": "C2", "Q22": "C3", "Q23": "C4",
+                  "QSerreA": "CSerreA", "QSerreOdd": "CSerreOdd",
+                  "AuxQ39": "AuxC16", "AuxQ40": "AuxC17",
+                  "AuxQ41": "AuxC18", "AuxQ42": "AuxC19"}
 
-    def __init__(self, tag, degree):
-        self.tag = tag
-        self.degree = degree
-        self.instances = 0
-        self.witness = None
-        self.t0 = time.monotonic()
 
-    def check(self, label, lhs, rhs):
-        self.instances += 1
-        if self.witness is not None:
-            return
-        ok, wit = op_eq_on_basis(lhs, rhs, self.degree)
+class _Deformation:
+    """The pieces in which a quantum relation differs from its q -> 1 form.
+
+    Each relation family is stated once against this object: a bracket
+    twist q^k becomes the plain bracket, an eigenvalue q^k becomes k,
+    conjugation by t_i becomes the bracket with h_i, and bare t_i factors
+    drop out.
+    """
+
+    def __init__(self, gens):
+        self.gens = gens
+        self.quantum = gens.quantum
+
+    def tag(self, quantum_tag):
+        return quantum_tag if self.quantum else _CLASSICAL_TAG[quantum_tag]
+
+    def xi(self, k):
+        """Bracket twist q^k; None (the plain bracket) classically."""
+        return qpow(k) if self.quantum else None
+
+    def eig(self, k):
+        """Eigenvalue factor q^k; the rational k classically."""
+        return qpow(k) if self.quantum else RingElem.from_rational(k)
+
+    def conj(self, i, x):
+        """t_i x t_i^-1; the bracket [h_i, x] classically."""
+        if self.quantum:
+            return self.gens.t[i] @ x @ self.gens.t_inv(i)
+        return graded_commutator(self.gens.t[i], x)
+
+    def weight(self, i, x, k):
+        """(lhs, rhs) of t_i x = q^k x t_i; of [h_i, x] = k x classically."""
+        t = self.gens.t[i]
+        lhs = t @ x if self.quantum else graded_commutator(t, x)
+        return lhs, self.t_right(x, i).scale(self.eig(k))
+
+    def t_right(self, x, i):
+        """x t_i; x classically."""
+        return x.compose(self.gens.t[i]) if self.quantum else x
+
+    def t_inv_left(self, i, x):
+        """t_i^-1 x; x classically."""
+        return self.gens.t_inv(i).compose(x) if self.quantum else x
+
+    def cartan(self, i):
+        """[e_i, f_i] = [t-exponent of t_i] as a q-number; h_i classically."""
+        if self.quantum:
+            return OpExpr.term(self.gens.cs, (("qnum", self.gens.t_form[i]),))
+        return self.gens.t[i]
+
+
+def _result(tag, t0, instances, witness):
+    millis = int((time.monotonic() - t0) * 1000)
+    status = ("vacuous" if instances == 0
+              else "fail" if witness else "pass")
+    return SuiteResult(tag, instances, status, witness, millis)
+
+
+def _run(tag, degree, instances):
+    """Check each (label, lhs, rhs) instance of one relation family.
+
+    Every instance is counted; after the first failure the rest are not
+    checked, so the witness is the first failing monomial of the first
+    failing instance.
+    """
+    t0 = time.monotonic()
+    count, witness = 0, None
+    for label, lhs, rhs in instances:
+        count += 1
+        if witness is not None:
+            continue
+        ok, wit = op_eq_on_basis(lhs, rhs, degree)
         if not ok:
             mono, residual = wit
-            self.witness = "%s at monomial %s: residual %s" % (
+            witness = "%s at monomial %s: residual %s" % (
                 label, sp.mono_render(lhs.cs, mono),
                 sp.poly_render(lhs.cs, residual))
-
-    def result(self):
-        millis = int((time.monotonic() - self.t0) * 1000)
-        status = ("vacuous" if self.instances == 0
-                  else "fail" if self.witness else "pass")
-        return SuiteResult(self.tag, self.instances, status,
-                           self.witness, millis)
-
-
-def _scalar_op(cs, c):
-    return OpExpr.scalar(cs, c)
+    return _result(tag, t0, count, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -120,57 +169,22 @@ def _scalar_op(cs, c):
 # ---------------------------------------------------------------------------
 
 def check_cartan_relations(gens, degree):
+    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
-    K = data.K
-    results = []
-    if gens.quantum:
-        s = _Suite("Q20", degree)
-        for i in range(1, K + 1):
-            for j in range(i + 1, K + 1):
-                s.check("i=%d,j=%d" % (i, j),
-                        gens.t[i] @ gens.t[j], gens.t[j] @ gens.t[i])
-        results.append(s.result())
-        for tag, fam, sgn in (("Q21", gens.e, 1), ("Q22", gens.f, -1)):
-            s = _Suite(tag, degree)
-            for i in range(1, K + 1):
-                for j in range(1, K + 1):
-                    lhs = gens.t[i] @ fam[j] @ gens.t_inv(i)
-                    rhs = fam[j].scale(qpow(sgn * data.a(i, j)))
-                    s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-            results.append(s.result())
-        s = _Suite("Q23", degree)
-        for i in range(1, K + 1):
-            for j in range(1, K + 1):
-                lhs = graded_commutator(gens.e[i], gens.f[j])
-                if i == j:
-                    rhs = OpExpr.term(cs, (("qnum", gens.t_form[i]),))
-                else:
-                    rhs = OpExpr.zero(cs)
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
-    else:
-        s = _Suite("C1", degree)
-        for i in range(1, K + 1):
-            for j in range(i + 1, K + 1):
-                s.check("i=%d,j=%d" % (i, j),
-                        graded_commutator(gens.t[i], gens.t[j]),
-                        OpExpr.zero(cs))
-        results.append(s.result())
-        for tag, fam, sgn in (("C2", gens.e, 1), ("C3", gens.f, -1)):
-            s = _Suite(tag, degree)
-            for i in range(1, K + 1):
-                for j in range(1, K + 1):
-                    lhs = graded_commutator(gens.t[i], fam[j])
-                    rhs = fam[j].scale(RingElem.from_rational(sgn * data.a(i, j)))
-                    s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-            results.append(s.result())
-        s = _Suite("C4", degree)
-        for i in range(1, K + 1):
-            for j in range(1, K + 1):
-                lhs = graded_commutator(gens.e[i], gens.f[j])
-                rhs = gens.t[i] if i == j else OpExpr.zero(cs)
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
+    pairs = [(i, j) for i in range(1, data.K + 1)
+             for j in range(1, data.K + 1)]
+    results = [_run(d.tag("Q20"), degree, (
+        ("i=%d,j=%d" % (i, j), *d.weight(i, gens.t[j], 0))
+        for i, j in pairs if i < j))]
+    for tag, fam, sgn in (("Q21", gens.e, 1), ("Q22", gens.f, -1)):
+        results.append(_run(d.tag(tag), degree, (
+            ("i=%d,j=%d" % (i, j), d.conj(i, fam[j]),
+             fam[j].scale(d.eig(sgn * data.a(i, j))))
+            for i, j in pairs)))
+    results.append(_run(d.tag("Q23"), degree, (
+        ("i=%d,j=%d" % (i, j), graded_commutator(gens.e[i], gens.f[j]),
+         d.cartan(i) if i == j else OpExpr.zero(cs))
+        for i, j in pairs)))
     return results
 
 
@@ -179,47 +193,40 @@ def check_cartan_relations(gens, degree):
 # ---------------------------------------------------------------------------
 
 def check_serre(gens, degree):
+    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     K = data.K
     odd = data.M + 1
-    results = []
-    quantum = gens.quantum
-    qm1 = qpow(-1)
-    qp1 = qpow(1)
+    fams = ((gens.e, "e"), (gens.f, "f"))
 
-    tag = "QSerreA" if quantum else "CSerreA"
-    s = _Suite(tag, degree)
-    for fam, name in ((gens.e, "e"), (gens.f, "f")):
-        for j in range(1, K + 1):
-            if j == odd:
-                continue
-            for i in range(1, K + 1):
-                if i == j or abs(data.a(i, j)) != 1:
+    def serre_a():
+        for fam, name in fams:
+            for j in range(1, K + 1):
+                if j == odd:
                     continue
-                inner = graded_commutator(fam[j], fam[i], qm1 if quantum else None)
-                lhs = graded_commutator(fam[j], inner, qp1 if quantum else None)
-                s.check("%s:j=%d,i=%d" % (name, j, i), lhs, OpExpr.zero(cs))
-    results.append(s.result())
+                for i in range(1, K + 1):
+                    if i == j or abs(data.a(i, j)) != 1:
+                        continue
+                    inner = graded_commutator(fam[j], fam[i], d.xi(-1))
+                    yield ("%s:j=%d,i=%d" % (name, j, i),
+                           graded_commutator(fam[j], inner, d.xi(1)),
+                           OpExpr.zero(cs))
 
-    tag = "QSerreOdd" if quantum else "CSerreOdd"
-    s = _Suite(tag, degree)
-    if data.M >= 1 and data.N >= 1:
-        for fam, name in ((gens.e, "e"), (gens.f, "f")):
-            inner = graded_commutator(fam[odd], fam[odd - 1],
-                                      qm1 if quantum else None)
-            mid = graded_commutator(fam[odd + 1], inner,
-                                    qp1 if quantum else None)
-            lhs = graded_commutator(fam[odd], mid)
-            s.check(name, lhs, OpExpr.zero(cs))
-    results.append(s.result())
+    def serre_odd():
+        if data.M < 1 or data.N < 1:
+            return
+        for fam, name in fams:
+            inner = graded_commutator(fam[odd], fam[odd - 1], d.xi(-1))
+            mid = graded_commutator(fam[odd + 1], inner, d.xi(1))
+            yield name, graded_commutator(fam[odd], mid), OpExpr.zero(cs)
 
-    # nilpotency of the odd generators; implicit in the Z2 grading and
-    # reported apart so a failure cannot masquerade as a Serre failure
-    s = _Suite("OddNil", degree)
-    for fam, name in ((gens.e, "e"), (gens.f, "f")):
-        s.check(name + "^2", fam[odd] @ fam[odd], OpExpr.zero(cs))
-    results.append(s.result())
-    return results
+    return [_run(d.tag("QSerreA"), degree, serre_a()),
+            _run(d.tag("QSerreOdd"), degree, serre_odd()),
+            # nilpotency of the odd generators; implicit in the Z2 grading
+            # and reported apart so a failure cannot pass for a Serre one
+            _run("OddNil", degree,
+                 ((name + "^2", fam[odd] @ fam[odd], OpExpr.zero(cs))
+                  for fam, name in fams))]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +234,7 @@ def check_serre(gens, degree):
 # ---------------------------------------------------------------------------
 
 def check_aux(gens, degree, nmax=3):
+    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     K = data.K
     nu = data.nu
@@ -234,95 +242,59 @@ def check_aux(gens, degree, nmax=3):
     for l in range(1, K + 1):
         for m in range(l, K + 1):
             X[(l, m)] = build_xminus(gens, l, m)
-    results = []
-    if gens.quantum:
-        s = _Suite("AuxQ39", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                lhs = graded_commutator(gens.e[i], X[(j, i)])
-                rhs = X[(j, i - 1)].compose(gens.t[i])
-                if nu[i] < 0:
-                    rhs = rhs.scale(RingElem.from_rational(-1))
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
+    below = [(i, j) for j in range(1, K + 1) for i in range(j + 1, K + 1)]
 
-        s = _Suite("AuxQ40", degree)
+    def aux39():
+        for i, j in below:
+            rhs = d.t_right(X[(j, i - 1)], i)
+            yield ("i=%d,j=%d" % (i, j),
+                   graded_commutator(gens.e[i], X[(j, i)]),
+                   rhs.scale(RingElem.from_rational(nu[i])))
+
+    def aux40():
         for i in range(1, K + 1):
             for j in range(i + 1, K + 1):
-                lhs = graded_commutator(gens.e[i], X[(i, j)])
-                rhs = gens.t_inv(i).compose(X[(i + 1, j)])
-                rhs = rhs.scale(RingElem.from_rational(-nu[i + 1]))
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
+                rhs = d.t_inv_left(i, X[(i + 1, j)])
+                yield ("i=%d,j=%d" % (i, j),
+                       graded_commutator(gens.e[i], X[(i, j)]),
+                       rhs.scale(RingElem.from_rational(-nu[i + 1])))
 
-        s = _Suite("AuxQ41", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                base = X[(j, i - 1)]
-                # powers of an odd root vector vanish, so the power law
-                # is only meaningful for even ones beyond n = 1
-                top = nmax if base.parity() == 0 else 1
-                for n in range(1, top + 1):
-                    xn = base.power(n)
-                    lhs = gens.f[i] @ xn
-                    rhs = xn.compose(gens.f[i]).scale(qpow(-n * nu[i])) \
-                        + base.power(n - 1).compose(X[(j, i)]).scale(qnum(n))
-                    s.check("i=%d,j=%d,n=%d" % (i, j, n), lhs, rhs)
-        results.append(s.result())
+    def aux41():
+        # the quantum relation is a power law in X(j,i-1); its classical
+        # form is the single bracket that defines X(j,i)
+        for i, j in below:
+            base = X[(j, i - 1)]
+            if not d.quantum:
+                yield ("i=%d,j=%d" % (i, j),
+                       graded_commutator(gens.f[i], base), X[(j, i)])
+                continue
+            # powers of an odd root vector vanish, so the power law
+            # is only meaningful for even ones beyond n = 1
+            top = nmax if base.parity() == 0 else 1
+            for n in range(1, top + 1):
+                xn = base.power(n)
+                lhs = gens.f[i] @ xn
+                rhs = xn.compose(gens.f[i]).scale(qpow(-n * nu[i])) \
+                    + base.power(n - 1).compose(X[(j, i)]).scale(qnum(n))
+                yield "i=%d,j=%d,n=%d" % (i, j, n), lhs, rhs
 
-        s = _Suite("AuxQ42", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                s.check("f_i:i=%d,j=%d" % (i, j),
-                        graded_commutator(gens.f[i], X[(j, i)], qpow(nu[i + 1])),
-                        OpExpr.zero(cs))
-                s.check("f_j:i=%d,j=%d" % (i, j),
-                        graded_commutator(gens.f[j], X[(j, i)], qpow(-nu[j])),
-                        OpExpr.zero(cs))
-                for k in range(j + 1, i):
-                    s.check("f_k:i=%d,j=%d,k=%d" % (i, j, k),
-                            graded_commutator(gens.f[k], X[(j, i)]),
-                            OpExpr.zero(cs))
-        results.append(s.result())
-    else:
-        s = _Suite("AuxC16", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                lhs = graded_commutator(gens.e[i], X[(j, i)])
-                rhs = X[(j, i - 1)].scale(RingElem.from_rational(nu[i]))
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
+    def aux42():
+        for i, j in below:
+            yield ("f_i:i=%d,j=%d" % (i, j),
+                   graded_commutator(gens.f[i], X[(j, i)], d.xi(nu[i + 1])),
+                   OpExpr.zero(cs))
+            yield ("f_j:i=%d,j=%d" % (i, j),
+                   graded_commutator(gens.f[j], X[(j, i)], d.xi(-nu[j])),
+                   OpExpr.zero(cs))
+            for k in range(j + 1, i):
+                yield ("f_k:i=%d,j=%d,k=%d" % (i, j, k),
+                       graded_commutator(gens.f[k], X[(j, i)]),
+                       OpExpr.zero(cs))
 
-        s = _Suite("AuxC17", degree)
-        for i in range(1, K + 1):
-            for j in range(i + 1, K + 1):
-                lhs = graded_commutator(gens.e[i], X[(i, j)])
-                rhs = X[(i + 1, j)].scale(RingElem.from_rational(-nu[i + 1]))
-                s.check("i=%d,j=%d" % (i, j), lhs, rhs)
-        results.append(s.result())
-
-        s = _Suite("AuxC18", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                lhs = graded_commutator(gens.f[i], X[(j, i - 1)])
-                s.check("i=%d,j=%d" % (i, j), lhs, X[(j, i)])
-        results.append(s.result())
-
-        s = _Suite("AuxC19", degree)
-        for j in range(1, K + 1):
-            for i in range(j + 1, K + 1):
-                s.check("f_i:i=%d,j=%d" % (i, j),
-                        graded_commutator(gens.f[i], X[(j, i)]),
-                        OpExpr.zero(cs))
-                s.check("f_j:i=%d,j=%d" % (i, j),
-                        graded_commutator(gens.f[j], X[(j, i)]),
-                        OpExpr.zero(cs))
-                for k in range(j + 1, i):
-                    s.check("f_k:i=%d,j=%d,k=%d" % (i, j, k),
-                            graded_commutator(gens.f[k], X[(j, i)]),
-                            OpExpr.zero(cs))
-        results.append(s.result())
-    return results
+    return [_run(d.tag("AuxQ39"), degree, aux39()),
+            _run(d.tag("AuxQ40"), degree, aux40()),
+            _run(d.tag("AuxQ41"), degree, aux41()),
+            _run(d.tag("AuxQ42"), degree, aux42())]
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +302,20 @@ def check_aux(gens, degree, nmax=3):
 # ---------------------------------------------------------------------------
 
 def check_weight_conjugation(gens, degree):
-    data, cs = gens.data, gens.cs
+    d = _Deformation(gens)
+    data = gens.data
     K = data.K
-    s = _Suite("WeightConj", degree)
-    for i in range(1, K + 1):
-        for l in range(1, K + 1):
-            for m in range(l, K + 1):
-                x = build_xminus(gens, l, m)
-                total = sum(data.a(i, r) for r in range(l, m + 1))
-                if gens.quantum:
-                    lhs = gens.t[i] @ x
-                    rhs = x.compose(gens.t[i]).scale(qpow(-total))
-                else:
-                    lhs = graded_commutator(gens.t[i], x)
-                    rhs = x.scale(RingElem.from_rational(-total))
-                s.check("i=%d,l=%d,m=%d" % (i, l, m), lhs, rhs)
-    return [s.result()]
+
+    def instances():
+        for i in range(1, K + 1):
+            for l in range(1, K + 1):
+                for m in range(l, K + 1):
+                    x = build_xminus(gens, l, m)
+                    total = sum(data.a(i, r) for r in range(l, m + 1))
+                    yield ("i=%d,l=%d,m=%d" % (i, l, m),
+                           *d.weight(i, x, -total))
+
+    return [_run("WeightConj", degree, instances())]
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +323,24 @@ def check_weight_conjugation(gens, degree):
 # ---------------------------------------------------------------------------
 
 def check_heisenberg(cs, degree):
-    s = _Suite("Heis", degree)
-    for pos, (l, m) in enumerate(cs.coords):
-        label = "(%d,%d)" % (l, m)
-        mf = LinForm({pos: 1})
-        num = OpExpr.term(cs, (("qnum", mf),))
-        num_p1 = OpExpr.term(cs, (("qnum", mf.shift(1)),))
-        num_m1 = OpExpr.term(cs, (("qnum", mf.shift(-1)),))
-        xop = OpExpr.term(cs, (("x", pos),))
-        dop = OpExpr.term(cs, (("D", pos),))
-        s.check("53" + label, num @ xop, xop @ num_p1)
-        s.check("54" + label, num @ dop, dop @ num_m1)
-        if cs.odd[pos]:
-            s.check("56" + label, dop @ xop + xop @ dop, OpExpr.identity(cs))
-        else:
-            s.check("55" + label, dop @ xop - xop @ dop, num_p1 - num)
-    return [s.result()]
+    def instances():
+        for pos, (l, m) in enumerate(cs.coords):
+            label = "(%d,%d)" % (l, m)
+            mf = LinForm({pos: 1})
+            num = OpExpr.term(cs, (("qnum", mf),))
+            num_p1 = OpExpr.term(cs, (("qnum", mf.shift(1)),))
+            num_m1 = OpExpr.term(cs, (("qnum", mf.shift(-1)),))
+            xop = OpExpr.term(cs, (("x", pos),))
+            dop = OpExpr.term(cs, (("D", pos),))
+            yield "53" + label, num @ xop, xop @ num_p1
+            yield "54" + label, num @ dop, dop @ num_m1
+            if cs.odd[pos]:
+                yield ("56" + label, dop @ xop + xop @ dop,
+                       OpExpr.identity(cs))
+            else:
+                yield "55" + label, dop @ xop - xop @ dop, num_p1 - num
+
+    return [_run("Heis", degree, instances())]
 
 
 # ---------------------------------------------------------------------------
@@ -376,36 +348,29 @@ def check_heisenberg(cs, degree):
 # ---------------------------------------------------------------------------
 
 def check_highest_weight(gens):
+    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
-    s = _Suite("HighestWeight", 0)
+    t0 = time.monotonic()
+    witness = None
     one = sp.poly_one()
     for i in range(1, data.K + 1):
-        s.instances += 1
         img = gens.e[i].apply(one)
-        if img and s.witness is None:
-            s.witness = "e_%d does not annihilate 1: %s" % (
+        if img and witness is None:
+            witness = "e_%d does not annihilate 1: %s" % (
                 i, sp.poly_render(cs, img))
     for i in range(1, data.K + 1):
-        s.instances += 1
         img = gens.t[i].apply(one)
-        if gens.quantum:
-            if gens.weights is None:
-                expect = qpow(0, {i: 1})
-            else:
-                expect = qpow(gens.weights[i - 1])
+        if gens.weights is None:
+            # the marker Qi: q^{lambda_i}, or lambda_i classically
+            expect = RingElem.monomial(0, {i: 1})
         else:
-            if gens.weights is None:
-                expect = RingElem.monomial(0, {i: 1})
-            else:
-                expect = RingElem.from_rational(gens.weights[i - 1])
+            expect = d.eig(gens.weights[i - 1])
         want = sp.poly_scale(one, expect)
-        if not sp.poly_eq(img, want) and s.witness is None:
-            s.witness = ("t_%d on 1 gave %s, expected %s" % (
-                i, sp.poly_render(cs, img), sp.poly_render(cs, want))
-                if gens.quantum else
-                "h_%d on 1 gave %s, expected %s" % (
-                    i, sp.poly_render(cs, img), sp.poly_render(cs, want)))
-    return [s.result()]
+        if not sp.poly_eq(img, want) and witness is None:
+            witness = "%s_%d on 1 gave %s, expected %s" % (
+                "t" if d.quantum else "h", i, sp.poly_render(cs, img),
+                sp.poly_render(cs, want))
+    return [_result("HighestWeight", t0, 2 * data.K, witness)]
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +393,7 @@ def run_full(M, N, mode="symbolic", degree=3, nmax=2, variant="prop3",
             raise ValueError("integer mode needs %d weights" % (M + N + 1))
     else:
         weights = None
-    data = build_root_data(M, N)
-    if variant == "classical":
-        gens = build_classical(data, weights)
-    else:
-        gens = build_quantum(data, weights, variant)
+    gens = build_generators(build_root_data(M, N), weights, variant)
     report = VerificationReport(M, N, mode, variant, degree, nmax)
     report.suites += check_cartan_relations(gens, degree)
     report.suites += check_serre(gens, degree)

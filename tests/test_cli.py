@@ -89,6 +89,11 @@ def test_usage_errors_exit_2():
     assert run_cli("verify", "--M", "-1").returncode == 2
 
 
+def test_flags_a_command_does_not_read_exit_2():
+    assert run_cli("identities", "--degree", "5").returncode == 2
+    assert run_cli("example-sl21", "--M", "2").returncode == 2
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "report.json"
     out = run_cli("verify", "--M", "1", "--N", "0", "--degree", "2",

@@ -1,5 +1,7 @@
 """Round-trip tests for the canonical operator grammar."""
 
+from fractions import Fraction
+
 import pytest
 
 from qsuperalg.superpoly import CoordSystem
@@ -54,3 +56,9 @@ def test_generator_render_parse_round_trip(MN, variant):
         for op in fam.values():
             back = parse_opexpr(op.render(), gens.cs)
             assert op_eq_on_basis(op, back, 2)[0]
+
+
+def test_parsed_integral_coefficients_are_int():
+    op = parse_opexpr("-1 * x(1,2) D(2,2) + 1/2 * x(1,1) [L(1)]", CS)
+    assert [type(v) for c, _ in op.terms for v in c.num.values()] \
+        == [int, Fraction]

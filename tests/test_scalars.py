@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qsuperalg.scalars import (RingElem, NonPolynomialLimit, ZERO, ONE,
                                Q_MINUS_QINV, qpow, qnum, qfactorial)
@@ -157,6 +157,16 @@ def test_rational_scalars():
     assert (ONE / RingElem.from_rational(3)) * RingElem.from_rational(3) == ONE
 
 
+def test_integral_fractions_become_int():
+    assert RingElem.from_rational(Fraction(-4, 2)).num == {(0, ()): -2}
+    assert type(RingElem.from_rational(Fraction(-1)).num[(0, ())]) is int
+    assert type(RingElem.from_rational(Fraction(1, 2)).num[(0, ())]) \
+        is Fraction
+    # a denominator with leading coefficient -1 is normalized by an int
+    v = ONE / (ONE - qpow(2))
+    assert {type(c) for c in (*v.num.values(), *v.den.values())} == {int}
+
+
 def test_division_by_marker_bearing_element_is_rejected():
     with pytest.raises(ValueError):
         ONE / qpow(0, {1: 1})
@@ -167,6 +177,35 @@ def test_value_equality_ignores_unreduced_denominators():
     v = (ONE / qnum(2)) * qnum(2)
     assert v == ONE
     assert v.is_one()
+
+
+def _laurent(terms):
+    out = ZERO
+    for (qe, wkey), c in terms.items():
+        out = out + RingElem.monomial(qe, dict(wkey), c)
+    return out
+
+
+_COEFF = st.integers(-3, 3).filter(bool)
+_NUMER = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.sampled_from(((), ((1, 1),),
+                                                   ((1, -1), (2, 2))))),
+    _COEFF, max_size=4)
+_DENOM = st.dictionaries(st.tuples(st.integers(-3, 3), st.just(())),
+                         _COEFF, min_size=1, max_size=3)
+
+
+@given(_NUMER, _DENOM, _DENOM)
+@example({(0, ()): 1}, {(1, ()): 1, (0, ()): 1}, {(0, ()): 1})
+@example({(0, ()): 1}, {(1, ()): 1, (0, ()): -1}, {(1, ()): 1, (0, ()): 1})
+@settings(max_examples=200)
+def test_hash_agrees_with_eq(a, f, g):
+    # (a f)/(g f) == a/g; the examples are (q+1)/(q+1) == 1 and
+    # (q-1)/(q^2-1) == 1/(q+1), kept in different representations
+    a, f, g = _laurent(a), _laurent(f), _laurent(g)
+    x, y = (a * f) / (g * f), a / g
+    assert x == y
+    assert hash(x) == hash(y)
 
 
 # ---------------------------------------------------------------------------
