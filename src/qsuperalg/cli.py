@@ -12,17 +12,21 @@ Exit codes: 0 all checks pass, 1 a suite failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from . import superpoly as sp
-from .operators import graded_commutator
+from .operators import OpExpr, graded_commutator
 from .algebra import (build_root_data, build_quantum, build_generators,
                       check_linform_identities)
 from .verify import run_full
 
 
 def _parse_weights(cfg, parser):
+    if cfg.weights is not None and cfg.mode != "integer":
+        parser.error("--weights needs --mode integer (symbolic mode keeps "
+                     "the weights as symbols)")
     if cfg.mode == "integer":
         if not cfg.weights:
             parser.error("--mode integer requires --weights")
@@ -36,12 +40,15 @@ def _parse_weights(cfg, parser):
     return None
 
 
-def _emit(text, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(cfg, parser):
+    """The --output file opened for writing, or standard output."""
+    if not cfg.output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(cfg.output, "w", encoding="utf-8")
+    except OSError as err:
+        parser.exit(2, "%s: error: cannot write --output %s: %s\n"
+                    % (parser.prog, cfg.output, err.strerror))
 
 
 def _term_dict(cs, coeff, ops):
@@ -56,9 +63,8 @@ def _term_dict(cs, coeff, ops):
     return out
 
 
-def cmd_generators(cfg, parser):
-    weights = _parse_weights(cfg, parser)
-    gens = build_generators(build_root_data(cfg.M, cfg.N), weights,
+def cmd_generators(cfg, out):
+    gens = build_generators(build_root_data(cfg.M, cfg.N), cfg.weights,
                             cfg.variant)
     prefix = "h" if cfg.variant == "classical" else "t"
     names = []
@@ -77,25 +83,24 @@ def cmd_generators(cfg, parser):
                 name: [_term_dict(gens.cs, c, ops) for c, ops in op.terms]
                 for name, op in names},
         }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.output)
+        out.write(json.dumps(payload, indent=2) + "\n")
     else:
         lines = ["%s = %s" % (name, op.render()) for name, op in names]
-        _emit("\n".join(lines) + "\n", cfg.output)
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify(cfg, parser):
-    weights = _parse_weights(cfg, parser)
+def cmd_verify(cfg, out):
     report = run_full(cfg.M, cfg.N, cfg.mode, cfg.degree, cfg.nmax,
-                      cfg.variant, weights)
+                      cfg.variant, cfg.weights)
     if cfg.format == "json":
-        _emit(report.to_json(), cfg.output)
+        out.write(report.to_json())
     else:
-        _emit(report.to_text(), cfg.output)
+        out.write(report.to_text())
     return 0 if report.ok else 1
 
 
-def cmd_identities(cfg, parser):
+def cmd_identities(cfg, out):
     lines = []
     failed = False
     for M in range(cfg.M + 1):
@@ -109,17 +114,16 @@ def cmd_identities(cfg, parser):
                 lines.append("(M,N)=(%d,%d) %s: %d instances %s%s" % (
                     M, N, name, entry["instances"], status,
                     " " + ",".join(entry["failures"]) if entry["failures"] else ""))
-    _emit("\n".join(lines) + "\n", cfg.output)
+    out.write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
-def cmd_example_sl21(cfg, parser):
-    weights = _parse_weights(cfg, parser)
+def cmd_example_sl21(cfg, out):
     data = build_root_data(1, 0)
-    gens = build_quantum(data, weights, "prop3")
+    gens = build_quantum(data, cfg.weights, "prop3")
     cs = gens.cs
     bracket = graded_commutator(gens.e[2], gens.f[2])
-    eigen = type(gens.t[2]).term(cs, (("qnum", gens.t_form[2]),))
+    eigen = OpExpr.term(cs, (("qnum", gens.t_form[2]),))
     lines = ["concrete check in U_q(sl(2|1)): [e2,f2] vs (t2-t2^-1)/(q-q^-1)",
              "e2 = " + gens.e[2].render(),
              "f2 = " + gens.f[2].render(),
@@ -142,7 +146,7 @@ def cmd_example_sl21(cfg, parser):
             sp.poly_render(cs, rhs), "agree" if agree else "MISMATCH"))
     lines.append("")
     lines.append("all probes agree" if ok else "MISMATCH FOUND")
-    _emit("\n".join(lines) + "\n", cfg.output)
+    out.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
@@ -191,13 +195,16 @@ def main(argv=None):
         parser.error("M and N must be >= 0")
     if cfg.command == "verify" and (cfg.degree < 0 or cfg.nmax < 1):
         parser.error("degree must be >= 0 and nmax >= 1")
+    if "weights" in cfg:
+        cfg.weights = _parse_weights(cfg, parser)
     handlers = {
         "generators": cmd_generators,
         "verify": cmd_verify,
         "identities": cmd_identities,
         "example-sl21": cmd_example_sl21,
     }
-    return handlers[cfg.command](cfg, parser)
+    with _open_output(cfg, parser) as out:
+        return handlers[cfg.command](cfg, out)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
-"""Operator calculus: ordered products of elementary operators and their
-exact action on super-polynomials.
+"""The operator calculus: sums of ordered operator products and their exact
+action on super-polynomials.
 
-An operator expression is a finite sum of terms; each term is an overall
-scalar coefficient together with an ordered tuple of elementary operators,
-applied right-to-left.  Elementary operators:
+``OpExpr`` is the only operator type.  It is a finite sum of terms; each
+term is a scalar coefficient together with an ordered tuple of factors,
+applied right-to-left.  A factor is a nested ``OpExpr`` or one of the
+elementary operators:
 
   ('x', pos)      multiplication by the coordinate at pos (Koszul sign)
   ('D', pos)      q-difference on an even coordinate / Grassmann derivative
@@ -24,7 +25,7 @@ from . import superpoly as sp
 
 
 class ContextMismatch(Exception):
-    """Operator and operand built over different (M, N) charts."""
+    """An operator and its operand built over different (M, N) charts."""
 
 
 class MixedParity(Exception):
@@ -114,138 +115,22 @@ class LinForm:
         return text[1:] if text.startswith("+") else text
 
 
-class Operator:
-    """Common interface: sums, products and scalings of operator atoms.
+class OpExpr:
+    """A finite sum of ordered operator products: the one operator type.
 
-    Products and sums are kept as trees rather than expanded into a flat
-    list of terms; a monomial is threaded through the factors one at a
-    time, which keeps intermediate results small even for deeply nested
-    commutators.
+    ``terms`` is a tuple of ``(coeff, factors)``.  Each factor is an
+    elementary operator tuple or a nested ``OpExpr``; the factors act right
+    to left.  Nested factors are never expanded: a monomial is threaded
+    through them one at a time, which keeps intermediate results small even
+    for deeply nested commutators.
     """
 
-    __slots__ = ("cs",)
-
-    def _check(self, other):
-        if self.cs != other.cs:
-            raise ContextMismatch("operators over different charts")
-
-    def __add__(self, other):
-        self._check(other)
-        return SumOp(self.cs, (self, other))
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def compose(self, other):
-        """Operator product self . other (other acts first)."""
-        self._check(other)
-        return ProductOp(self.cs, (self, other))
-
-    def __matmul__(self, other):
-        return self.compose(other)
-
-    def power(self, n):
-        if n == 0:
-            return OpExpr.identity(self.cs)
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
-
-    def apply(self, poly):
-        """Exact action on a super-polynomial (dict monomial -> scalar)."""
-        out = {}
-        for mono, coeff in poly.items():
-            for m, c in self.apply_monomial(mono, coeff).items():
-                sp.poly_add_term(out, m, c)
-        return out
-
-
-class SumOp(Operator):
-    """Sum of operators, applied part by part."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, cs, parts):
-        self.cs = cs
-        flat = []
-        for p in parts:
-            if isinstance(p, SumOp):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        self.parts = tuple(flat)
-
-    def scale(self, c):
-        return SumOp(self.cs, tuple(p.scale(c) for p in self.parts))
-
-    def parity(self):
-        par = None
-        for p in self.parts:
-            q = p.parity()
-            if par is None:
-                par = q
-            elif par != q:
-                raise MixedParity("summands of mixed parity")
-        return 0 if par is None else par
-
-    def apply_monomial(self, mono, coeff=ONE):
-        out = {}
-        for p in self.parts:
-            for m, c in p.apply_monomial(mono, coeff).items():
-                sp.poly_add_term(out, m, c)
-        return out
-
-    def __repr__(self):
-        return "SumOp(%d parts)" % len(self.parts)
-
-
-class ProductOp(Operator):
-    """Composition of operators; the rightmost factor acts first."""
-
-    __slots__ = ("factors", "coeff")
-
-    def __init__(self, cs, factors, coeff=ONE):
-        self.cs = cs
-        flat = []
-        for f in factors:
-            if isinstance(f, ProductOp) and f.coeff.is_one():
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        self.factors = tuple(flat)
-        self.coeff = coeff
-
-    def scale(self, c):
-        return ProductOp(self.cs, self.factors, self.coeff * c)
-
-    def parity(self):
-        return sum(f.parity() for f in self.factors) & 1
-
-    def apply_monomial(self, mono, coeff=ONE):
-        poly = {mono: coeff * self.coeff}
-        for f in reversed(self.factors):
-            nxt = {}
-            for m, c in poly.items():
-                for m2, c2 in f.apply_monomial(m, c).items():
-                    sp.poly_add_term(nxt, m2, c2)
-            if not nxt:
-                return {}
-            poly = nxt
-        return poly
-
-    def __repr__(self):
-        return "ProductOp(%d factors)" % len(self.factors)
-
-
-class OpExpr(Operator):
-    """A finite sum of ordered elementary-operator products."""
-
-    __slots__ = ("terms",)
+    __slots__ = ("cs", "terms", "_plan")
 
     def __init__(self, cs, terms):
         self.cs = cs
         self.terms = tuple((c, ops) for c, ops in terms if not c.is_zero())
+        self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -263,14 +148,45 @@ class OpExpr(Operator):
 
     # -- algebra ------------------------------------------------------------
 
+    def _check(self, other):
+        if self.cs != other.cs:
+            raise ContextMismatch("operators over different charts")
+
     def __add__(self, other):
         self._check(other)
-        if isinstance(other, OpExpr):
-            return OpExpr(self.cs, self.terms + other.terms)
-        return SumOp(self.cs, (self, other))
+        return OpExpr(self.cs, self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + other.scale(MINUS_ONE)
 
     def scale(self, c):
         return OpExpr(self.cs, tuple((c * tc, ops) for tc, ops in self.terms))
+
+    def compose(self, other):
+        """The operator product self . other (other acts first).
+
+        An operand that is a single term with coefficient 1 contributes its
+        factors; any other operand becomes one nested factor.
+        """
+        self._check(other)
+        factors = []
+        for op in (self, other):
+            if len(op.terms) == 1 and op.terms[0][0].is_one():
+                factors.extend(op.terms[0][1])
+            else:
+                factors.append(op)
+        return OpExpr(self.cs, ((ONE, tuple(factors)),))
+
+    def __matmul__(self, other):
+        return self.compose(other)
+
+    def power(self, n):
+        if n == 0:
+            return OpExpr.identity(self.cs)
+        out = self
+        for _ in range(n - 1):
+            out = out.compose(self)
+        return out
 
     # -- parity -------------------------------------------------------------
 
@@ -278,8 +194,13 @@ class OpExpr(Operator):
         """Common Z2 parity of all terms (0 for the empty expression)."""
         par = None
         for _, ops in self.terms:
-            p = sum(1 for op in ops
-                    if op[0] in ("x", "D", "d") and self.cs.odd[op[1]]) & 1
+            p = 0
+            for op in ops:
+                if isinstance(op, OpExpr):
+                    p += op.parity()
+                elif op[0] in ("x", "D", "d") and self.cs.odd[op[1]]:
+                    p += 1
+            p &= 1
             if par is None:
                 par = p
             elif par != p:
@@ -288,82 +209,46 @@ class OpExpr(Operator):
 
     # -- action -------------------------------------------------------------
 
+    def apply(self, poly):
+        """Exact action on a super-polynomial (dict monomial -> scalar)."""
+        out = {}
+        for mono, coeff in poly.items():
+            for m, c in self.apply_monomial(mono, coeff).items():
+                sp.poly_add_term(out, m, c)
+        return out
+
     def apply_monomial(self, mono, coeff=ONE):
         """Act on a single monomial with a scalar coefficient."""
         cs = self.cs
         out = {}
-        for tc, ops in self.terms:
-            m = mono
-            c = coeff
-            for op in reversed(ops):
-                kind = op[0]
-                if kind == "x":
-                    r = sp.mul_coord(cs, op[1], m)
-                    if r is None:
-                        m = None
-                        break
-                    sign, m = r
-                    if sign < 0:
-                        c = -c
-                elif kind == "D":
-                    pos = op[1]
-                    if cs.odd[pos]:
-                        r = sp.grassmann_remove(cs, pos, m)
-                        if r is None:
-                            m = None
-                            break
-                        sign, m = r
-                        if sign < 0:
-                            c = -c
-                    else:
-                        n = sp.mono_exp(m, pos)
-                        if n == 0:
-                            m = None
-                            break
-                        c = c * _qnum_int(n)
-                        m = sp.mono_dec(m, pos)
-                elif kind == "d":
-                    pos = op[1]
-                    if cs.odd[pos]:
-                        r = sp.grassmann_remove(cs, pos, m)
-                        if r is None:
-                            m = None
-                            break
-                        sign, m = r
-                        if sign < 0:
-                            c = -c
-                    else:
-                        n = sp.mono_exp(m, pos)
-                        if n == 0:
-                            m = None
-                            break
-                        c = c * RingElem.from_rational(n)
-                        m = sp.mono_dec(m, pos)
-                elif kind == "qpow":
-                    lf = op[1]
-                    c = c * qpow(lf.eval_const(m), lf.lam)
-                elif kind == "qnum":
-                    lf = op[1]
-                    s = qnum(lf.eval_const(m), lf.lam)
-                    if s.is_zero():
-                        m = None
-                        break
-                    c = c * s
-                else:  # 'lin': value is linear in the weight symbols
-                    lf = op[1]
-                    num = {}
-                    v = lf.eval_const(m)
-                    if v:
-                        num[(0, ())] = v
-                    for i, ci in lf.lam.items():
-                        num[(0, ((i, 1),))] = ci
-                    if not num:
-                        m = None
-                        break
-                    c = c * RingElem(num, None, _reduced=True)
-            if m is None:
+        for tc, steps in self._plan:
+            if len(steps) == 1 and type(steps[0]) is tuple:
+                # a chain of elementary operators: the term coefficient is
+                # multiplied in only if the monomial survives the chain
+                r = _run(cs, steps[0], mono, coeff)
+                if r is not None:
+                    sp.poly_add_term(out, r[0], r[1] * tc)
                 continue
-            sp.poly_add_term(out, m, c * tc)
+            poly = {mono: coeff * tc}
+            for step in steps:
+                nxt = {}
+                if type(step) is tuple:
+                    # elementary operators send distinct monomials to
+                    # distinct monomials, so the images never collide
+                    for m, c in poly.items():
+                        r = _run(cs, step, m, c)
+                        if r is not None:
+                            nxt[r[0]] = r[1]
+                else:
+                    for m, c in poly.items():
+                        for m2, c2 in step.apply_monomial(m, c).items():
+                            sp.poly_add_term(nxt, m2, c2)
+                if not nxt:
+                    break
+                poly = nxt
+            else:
+                for m, c in poly.items():
+                    sp.poly_add_term(out, m, c)
         return out
 
     # -- rendering ----------------------------------------------------------
@@ -376,6 +261,9 @@ class OpExpr(Operator):
         for c, ops in self.terms:
             factors = []
             for op in ops:
+                if isinstance(op, OpExpr):
+                    factors.append("(" + op.render() + ")")
+                    continue
                 kind = op[0]
                 if kind in ("x", "D", "d"):
                     l, m = cs.coords[op[1]]
@@ -402,10 +290,79 @@ class OpExpr(Operator):
         return "OpExpr(%s)" % self.render()
 
 
+def _steps(ops):
+    """The factors of one term in acting order, each run of consecutive
+    elementary operators grouped into one tuple; a term with no nested
+    factor is a single (possibly empty) run."""
+    steps = []
+    for op in reversed(ops):
+        if isinstance(op, OpExpr):
+            steps.append(op)
+        elif steps and type(steps[-1]) is list:
+            steps[-1].append(op)
+        else:
+            steps.append([op])
+    return tuple(s if isinstance(s, OpExpr) else tuple(s)
+                 for s in steps) or ((),)
+
+
+def _run(cs, ops, m, c):
+    """Thread (monomial, coefficient) through elementary ops in acting order.
+
+    Each elementary operator maps a monomial to at most one monomial;
+    returns the image pair, or None once the monomial is annihilated.
+    """
+    for op in ops:
+        kind = op[0]
+        if kind == "x":
+            r = sp.mul_coord(cs, op[1], m)
+            if r is None:
+                return None
+            sign, m = r
+            if sign < 0:
+                c = -c
+        elif kind == "D" or kind == "d":
+            pos = op[1]
+            if cs.odd[pos]:
+                r = sp.grassmann_remove(cs, pos, m)
+                if r is None:
+                    return None
+                sign, m = r
+                if sign < 0:
+                    c = -c
+            else:
+                n = sp.mono_exp(m, pos)
+                if n == 0:
+                    return None
+                c = c * (_qnum_int(n) if kind == "D"
+                         else RingElem.from_rational(n))
+                m = sp.mono_dec(m, pos)
+        elif kind == "qpow":
+            lf = op[1]
+            c = c * qpow(lf.eval_const(m), lf.lam)
+        elif kind == "qnum":
+            lf = op[1]
+            s = qnum(lf.eval_const(m), lf.lam)
+            if s.is_zero():
+                return None
+            c = c * s
+        else:  # 'lin': value is linear in the weight symbols
+            lf = op[1]
+            num = {}
+            v = lf.eval_const(m)
+            if v:
+                num[(0, ())] = v
+            for i, ci in lf.lam.items():
+                num[(0, ((i, 1),))] = ci
+            if not num:
+                return None
+            c = c * RingElem(num, None, _reduced=True)
+    return m, c
+
+
 def graded_commutator(a, b, xi=None):
     """[a, b]_xi = a b - (-1)^{|a||b|} xi b a; xi defaults to 1."""
-    sign = -1 if (a.parity() and b.parity()) else 1
-    factor = MINUS_ONE if sign > 0 else ONE
+    factor = ONE if (a.parity() and b.parity()) else MINUS_ONE
     if xi is not None:
         factor = factor * xi
     return a.compose(b) + b.compose(a).scale(factor)
@@ -439,8 +396,7 @@ def op_eq_on_basis(a, b, degree):
     Returns (True, None) or (False, (monomial, residual polynomial)),
     the witness being the first failing monomial in canonical order.
     """
-    if a.cs != b.cs:
-        raise ContextMismatch("operators over different charts")
+    a._check(b)
     for mono in basis_monomials(a.cs, degree):
         pa = a.apply_monomial(mono)
         pb = b.apply_monomial(mono)
@@ -449,10 +405,3 @@ def op_eq_on_basis(a, b, degree):
             return False, (mono, diff)
     return True, None
 
-
-def op_is_zero_on_basis(a, degree):
-    for mono in basis_monomials(a.cs, degree):
-        img = a.apply_monomial(mono)
-        if img:
-            return False, (mono, img)
-    return True, None

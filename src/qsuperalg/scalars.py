@@ -158,6 +158,10 @@ def _lp_div_s(p):
 # ring elements
 # ---------------------------------------------------------------------------
 
+_NUM_ONE = {(0, ()): 1}
+_DEN_ONE = {0: 1}
+
+
 class RingElem:
     """An exact scalar: Laurent poly over q and markers, over a q-only poly.
 
@@ -200,8 +204,8 @@ class RingElem:
         return not self.num
 
     def is_one(self):
-        if self.den == {0: 1} and self.num == {(0, ()): 1}:
-            return True
+        if self.den == _DEN_ONE:
+            return self.num == _NUM_ONE
         return self == ONE
 
     def has_markers(self):
@@ -237,8 +241,14 @@ class RingElem:
     def __mul__(self, other):
         if not self.num or not other.num:
             return ZERO
-        den = (self.den if other.den == {0: 1}
-               else other.den if self.den == {0: 1}
+        # more than half of all products on the verify path have a unit
+        # factor; elements are immutable, so the other one is the product
+        if other.num == _NUM_ONE and other.den == _DEN_ONE:
+            return self
+        if self.num == _NUM_ONE and self.den == _DEN_ONE:
+            return other
+        den = (self.den if other.den == _DEN_ONE
+               else other.den if self.den == _DEN_ONE
                else qp_mul(self.den, other.den))
         return RingElem(lp_mul(self.num, other.num), den)
 

@@ -115,3 +115,25 @@ def test_example_transcript():
     assert out.returncode == 0
     assert "all probes agree" in out.stdout
     assert "e2 =" in out.stdout
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    target = str(tmp_path / "missing" / "x.txt")
+    for args in (("identities",), ("generators",),
+                 ("verify", "--M", "0", "--N", "0", "--degree", "1"),
+                 ("example-sl21",)):
+        out = run_cli(*args, "--output", target)
+        assert out.returncode == 2, args
+        assert out.stderr.count("\n") == 1
+        assert "cannot write --output " + target in out.stderr
+        assert out.stdout == ""
+
+
+def test_weights_without_integer_mode_exit_2():
+    for args in (("generators", "--weights", "1,2"),
+                 ("verify", "--M", "0", "--N", "0", "--weights", "5"),
+                 ("example-sl21", "--weights", "1,2")):
+        out = run_cli(*args)
+        assert out.returncode == 2, args
+        assert "--weights needs --mode integer" in out.stderr
+        assert out.stdout == ""

@@ -1,14 +1,17 @@
-"""Tests for operator expressions: elementary actions, lazy sums and
-products, parity bookkeeping and extensional equality."""
+"""Tests for operator expressions: elementary actions, sums and products
+with nested factors, parity bookkeeping and extensional equality."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, qpow, qnum)
-from qsuperalg.superpoly import CoordSystem, MONO_ONE
-from qsuperalg.operators import (LinForm, OpExpr, SumOp,
-                                 ContextMismatch, MixedParity,
-                                 graded_commutator, basis_monomials,
-                                 op_eq_on_basis, op_is_zero_on_basis)
+from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
+                               qnum)
+from qsuperalg.superpoly import CoordSystem, MONO_ONE, poly_eq, poly_scale
+from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
+                                 MixedParity, graded_commutator,
+                                 basis_monomials, op_eq_on_basis)
 
 
 CS = CoordSystem(1, 0)          # coords: z(1,1), th(1,2), th(2,2)
@@ -76,9 +79,9 @@ def test_lin_op_multiplies_by_form_value():
 
 def test_sum_and_scale():
     op = x(Z) + x(Z).scale(MINUS_ONE)
-    assert op_is_zero_on_basis(op, 3)[0]
+    assert op_eq_on_basis(op, OpExpr.zero(CS), 3)[0]
     op = x(Z).scale(qpow(2)) - x(Z).scale(qpow(2))
-    assert op_is_zero_on_basis(op, 3)[0]
+    assert op_eq_on_basis(op, OpExpr.zero(CS), 3)[0]
 
 
 def test_composition_is_right_to_left():
@@ -111,7 +114,7 @@ def test_power():
     assert cube.apply_monomial(MONO_ONE) == {((Z, 3),): ONE}
     assert x(Z).power(0).apply_monomial(MONO_ONE) == {MONO_ONE: ONE}
     # squares of an odd coordinate vanish as operators
-    assert op_is_zero_on_basis(x(T1).power(2), 3)[0]
+    assert op_eq_on_basis(x(T1).power(2), OpExpr.zero(CS), 3)[0]
 
 
 def test_number_operator_shift_identity():
@@ -144,16 +147,19 @@ def test_parity_counts_odd_coordinate_ops():
 def test_mixed_parity_is_an_error():
     with pytest.raises(MixedParity):
         (x(Z) + x(T1)).parity()
+    # the terms of a sum can carry nested factors
     with pytest.raises(MixedParity):
-        SumOp(CS, (x(Z), x(T1))).parity()
+        ((x(Z) + D(Z)) @ x(Z) + x(T1)).parity()
 
 
 def test_graded_commutator_signs():
     # even/even and even/odd use a minus, odd/odd uses a plus
     even, odd = x(Z), x(T1)
-    assert op_is_zero_on_basis(graded_commutator(even, even), 3)[0]
+    assert op_eq_on_basis(graded_commutator(even, even), OpExpr.zero(CS),
+                          3)[0]
     # theta12 theta22 + theta22 theta12 = 0
-    assert op_is_zero_on_basis(graded_commutator(x(T1), x(T2)), 3)[0]
+    assert op_eq_on_basis(graded_commutator(x(T1), x(T2)), OpExpr.zero(CS),
+                          3)[0]
     # twisted bracket [a, b]_xi = ab - (-1)^{|a||b|} xi ba
     tw = graded_commutator(even, even, qpow(1))
     expect = even @ even - (even @ even).scale(qpow(1))
@@ -193,3 +199,96 @@ def test_op_eq_reports_first_failing_monomial():
 def test_op_eq_requires_matching_charts():
     with pytest.raises(ContextMismatch):
         op_eq_on_basis(x(Z), OpExpr.term(CoordSystem(0, 1), (("x", 0),)), 1)
+
+
+# ---------------------------------------------------------------------------
+# nested factors
+# ---------------------------------------------------------------------------
+
+def test_compose_inlines_unit_terms_and_nests_the_rest():
+    s = x(Z) + D(Z)
+    op = x(T1) @ s @ D(T2)
+    assert op.terms == ((ONE, (("x", T1), s, ("D", T2))),)
+    assert op.render() == "x(1,2) (x(1,1) + D(1,1)) D(2,2)"
+    scaled = x(Z).scale(qpow(1))
+    assert (scaled @ x(Z)).terms[0][1] == (scaled, ("x", Z))
+    assert (x(Z) @ OpExpr.identity(CS)).terms == ((ONE, (("x", Z),)),)
+
+
+def _elementary(cs):
+    lfs = (LinForm({0: 1}), LinForm({0: 1, cs.ncoords - 1: -1}, 1, {1: 1}))
+    return ([(kind, p) for kind in ("x", "D", "d")
+             for p in range(cs.ncoords)]
+            + [(kind, lf) for kind in ("qpow", "qnum", "lin") for lf in lfs])
+
+
+_SCALARS = (MINUS_ONE, qpow(1), qnum(2), qpow(-1, {1: 1}),
+            RingElem.from_rational(Fraction(1, 2)), ONE / Q_MINUS_QINV)
+
+
+def _times(a, b):
+    """The product a b multiplied out: each term of a before each of b."""
+    return OpExpr(a.cs, [(ca * cb, fa + fb) for ca, fa in a.terms
+                         for cb, fb in b.terms])
+
+
+def _scaled(a, c):
+    return OpExpr(a.cs, [(tc * c, f) for tc, f in a.terms])
+
+
+def _pairs(cs):
+    """(tree, flat): an operator of one parity built from elementary atoms
+    by sums, products, scaling, powers and brackets, whose operands become
+    nested factors, and the same operator with every nested factor
+    multiplied out at each step, a sum of elementary products."""
+    def add(a, b):
+        if a[0].parity() != b[0].parity():   # keep every operator homogeneous
+            return compose(a, b)
+        return a[0] + b[0], OpExpr(cs, a[1].terms + b[1].terms)
+
+    def compose(a, b):
+        return a[0] @ b[0], _times(a[1], b[1])
+
+    def scale(a, c):
+        return a[0].scale(c), _scaled(a[1], c)
+
+    def power(a, n):
+        flat = OpExpr.identity(cs)
+        for _ in range(n):
+            flat = _times(flat, a[1])
+        return a[0].power(n), flat
+
+    def bracket(a, b, xi):
+        factor = ONE if a[0].parity() and b[0].parity() else MINUS_ONE
+        if xi is not None:
+            factor = factor * xi
+        flat = _times(a[1], b[1]).terms \
+            + _scaled(_times(b[1], a[1]), factor).terms
+        return graded_commutator(a[0], b[0], xi), OpExpr(cs, flat)
+
+    def extend(kids):
+        return st.one_of(
+            st.builds(add, kids, kids),
+            st.builds(compose, kids, kids),
+            st.builds(scale, kids, st.sampled_from(_SCALARS)),
+            st.builds(power, kids, st.integers(0, 2)),
+            st.builds(bracket, kids, kids, st.sampled_from((None, qpow(1)))))
+
+    atoms = st.sampled_from(_elementary(cs)).map(
+        lambda op: (OpExpr.term(cs, (op,)), OpExpr.term(cs, (op,))))
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+@pytest.mark.parametrize("cs", [CoordSystem(1, 0), CoordSystem(1, 1)],
+                         ids=["(1,0)", "(1,1)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_nested_evaluation_matches_multiplied_out_form(cs, data):
+    tree, flat = data.draw(_pairs(cs))
+    coeff = data.draw(st.sampled_from((ONE,) + _SCALARS))
+    assert not any(isinstance(f, OpExpr)
+                   for _, factors in flat.terms for f in factors)
+    for mono in basis_monomials(cs, 3):
+        img = tree.apply_monomial(mono, coeff)
+        assert poly_eq(img, poly_scale(flat.apply_monomial(mono), coeff)), \
+            (tree.render(), mono)

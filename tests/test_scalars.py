@@ -231,3 +231,25 @@ def test_eval_q1_cancels_removable_singularity():
     # (q^2 - q^-2)/(q - q^-1) has a denominator but a finite q=1 value
     v = (qpow(2) - qpow(-2)) / Q_MINUS_QINV
     assert v.eval_q1() == 2
+
+
+# ---------------------------------------------------------------------------
+# unit factors
+# ---------------------------------------------------------------------------
+
+def test_product_with_one_is_the_other_factor():
+    general = RingElem({(1, ()): 1, (0, ((1, 1),)): 2}, {1: 1, 0: 1})
+    for x in (qnum(3) / Q_MINUS_QINV, qpow(2, {1: -1}), general,
+              RingElem.from_rational(Fraction(2, 3))):
+        for y in (x * ONE, RingElem.from_rational(1) * x):
+            assert y is x
+            assert y.render() == x.render()
+            assert hash(y) == hash(x)
+
+
+def test_is_one_with_and_without_a_denominator():
+    assert ONE.is_one() and RingElem.from_rational(1).is_one()
+    assert not qpow(1).is_one() and not ZERO.is_one()
+    q_plus_1 = RingElem({(1, ()): 1, (0, ()): 1})
+    assert (q_plus_1 / q_plus_1).is_one()
+    assert not (ONE / q_plus_1).is_one()
