@@ -16,11 +16,22 @@ elementary operators:
 No normal ordering is ever performed: expressions stay in the order they
 were written, and equality of operators is extensional (action on a
 degree-bounded monomial basis).
+
+The same nested node (a root vector, its powers, a generator inside every
+bracket) is reached many times with the same monomial.  Evaluation
+therefore keeps a memo of each nested factor's image of a monomial with
+coefficient 1, keyed by (node, monomial), and scales that image by the
+incoming coefficient on every later visit.  The memo lives for one
+basis-monomial probe: ``op_eq_on_basis`` opens a fresh one for each basis
+monomial and shares it between the two sides, ``apply`` opens one per
+input monomial, and it is dropped once that monomial is done, so no image
+outlives its probe.
 """
 
 from __future__ import annotations
 
-from .scalars import RingElem, ONE, MINUS_ONE, qpow, qnum, _qnum_int
+from .scalars import (RingElem, ONE, MINUS_ONE, qpow, qnum, _qnum_int,
+                      _int_elem)
 from . import superpoly as sp
 
 
@@ -210,15 +221,29 @@ class OpExpr:
     # -- action -------------------------------------------------------------
 
     def apply(self, poly):
-        """Exact action on a super-polynomial (dict monomial -> scalar)."""
+        """Exact action on a super-polynomial (dict monomial -> scalar).
+
+        Each input monomial is its own probe, with its own image memo.
+        """
         out = {}
         for mono, coeff in poly.items():
             for m, c in self.apply_monomial(mono, coeff).items():
                 sp.poly_add_term(out, m, c)
         return out
 
-    def apply_monomial(self, mono, coeff=ONE):
-        """Act on a single monomial with a scalar coefficient."""
+    def apply_monomial(self, mono, coeff=ONE, _memo=None):
+        """Act on a single monomial with a scalar coefficient.
+
+        A nested factor's image of a monomial is computed once per probe
+        with coefficient 1 and kept in ``_memo`` under (node, monomial);
+        every visit multiplies that image by the coefficient it carries.
+        ``_memo`` is private: a caller that probes one monomial with
+        several operators passes one dict to all of them, anything else
+        leaves it out and gets a fresh one.  Only nested factors' images
+        are kept, so the caller owns the returned dict.
+        """
+        if _memo is None:
+            _memo = {}
         cs = self.cs
         out = {}
         for tc, steps in self._plan:
@@ -241,8 +266,12 @@ class OpExpr:
                             nxt[r[0]] = r[1]
                 else:
                     for m, c in poly.items():
-                        for m2, c2 in step.apply_monomial(m, c).items():
-                            sp.poly_add_term(nxt, m2, c2)
+                        img = _memo.get((step, m))
+                        if img is None:
+                            img = _memo[step, m] = step.apply_monomial(
+                                m, ONE, _memo)
+                        for m2, c2 in img.items():
+                            sp.poly_add_term(nxt, m2, c2 * c)
                 if not nxt:
                     break
                 poly = nxt
@@ -334,8 +363,7 @@ def _run(cs, ops, m, c):
                 n = sp.mono_exp(m, pos)
                 if n == 0:
                     return None
-                c = c * (_qnum_int(n) if kind == "D"
-                         else RingElem.from_rational(n))
+                c = c * (_qnum_int(n) if kind == "D" else _int_elem(n))
                 m = sp.mono_dec(m, pos)
         elif kind == "qpow":
             lf = op[1]
@@ -398,8 +426,10 @@ def op_eq_on_basis(a, b, degree):
     """
     a._check(b)
     for mono in basis_monomials(a.cs, degree):
-        pa = a.apply_monomial(mono)
-        pb = b.apply_monomial(mono)
+        # one memo per probe, shared by both sides and dropped with it
+        memo = {}
+        pa = a.apply_monomial(mono, ONE, memo)
+        pb = b.apply_monomial(mono, ONE, memo)
         diff = sp.poly_sub(pa, pb)
         if diff:
             return False, (mono, diff)

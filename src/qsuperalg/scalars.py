@@ -418,6 +418,12 @@ def _qnum_int(n):
                     None, _reduced=True)
 
 
+@lru_cache(maxsize=None)
+def _int_elem(n):
+    """The integer n as a scalar (the classical derivative's factor)."""
+    return RingElem.from_rational(n)
+
+
 def qnum(const, lam=None):
     """[const + sum lam_i], the symmetric q-number of an affine form."""
     key = tuple(sorted((i, e) for i, e in lam.items() if e)) if lam else ()

@@ -1,6 +1,9 @@
 """Tests for operator expressions: elementary actions, sums and products
-with nested factors, parity bookkeeping and extensional equality."""
+with nested factors, parity bookkeeping, extensional equality and the
+per-probe memo of nested images."""
 
+import gc
+import types
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
                                qnum)
-from qsuperalg.superpoly import CoordSystem, MONO_ONE, poly_eq, poly_scale
+from qsuperalg import superpoly, verify
+from qsuperalg.algebra import build_quantum, build_root_data, build_xminus
+from qsuperalg.superpoly import (CoordSystem, MONO_ONE, poly_add_term,
+                                 poly_eq, poly_scale)
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
                                  MixedParity, graded_commutator,
                                  basis_monomials, op_eq_on_basis)
@@ -292,3 +298,123 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
         img = tree.apply_monomial(mono, coeff)
         assert poly_eq(img, poly_scale(flat.apply_monomial(mono), coeff)), \
             (tree.render(), mono)
+
+
+# ---------------------------------------------------------------------------
+# the per-probe image memo
+# ---------------------------------------------------------------------------
+
+def _unshared(op):
+    """The same operator with a fresh node object for every nested factor,
+    so that no node is reached twice."""
+    return OpExpr(op.cs, [(c, tuple(_unshared(f) if isinstance(f, OpExpr)
+                                    else f for f in factors))
+                          for c, factors in op.terms])
+
+
+def _unmemoised(op, poly):
+    """op applied to poly one factor at a time, nested factors recursively
+    and elementary ones as single-factor operators, which keep no memo."""
+    out = {}
+    for tc, factors in op.terms:
+        cur = poly_scale(poly, tc)
+        for f in reversed(factors):
+            cur = (_unmemoised(f, cur) if isinstance(f, OpExpr)
+                   else OpExpr.term(op.cs, (f,)).apply(cur))
+        for m, c in cur.items():
+            poly_add_term(out, m, c)
+    return out
+
+
+def _shared_node_operators(gens):
+    """Operators in which one node object occurs at several depths."""
+    f, X = gens.f[2], gens.f[1]               # X = X(1,1) is even
+    Y = build_xminus(gens, 1, 2)              # nests f_1 and f_2 again
+    return {"f X^3": f @ X.power(3),
+            "[X, X^2]_q": graded_commutator(X, X.power(2), qpow(1)),
+            "X f X": X @ f @ X,
+            "[f, Y] X": graded_commutator(f, Y) @ X}
+
+
+@pytest.mark.parametrize("MN", [(1, 0), (1, 1)], ids=["(1,0)", "(1,1)"])
+def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
+    gens = build_quantum(build_root_data(*MN))
+    # a (q - q^-1) denominator and the weight marker Q1
+    coeff = RingElem.monomial(1, {1: 1}) * (ONE / Q_MINUS_QINV)
+    for name, op in _shared_node_operators(gens).items():
+        fresh = _unshared(op)
+        for mono in basis_monomials(gens.cs, 3):
+            img = op.apply_monomial(mono, coeff)
+            assert poly_eq(img, fresh.apply_monomial(mono, coeff)), \
+                (name, mono)
+            assert poly_eq(img, _unmemoised(op, {mono: coeff})), (name, mono)
+
+
+def test_returned_image_is_not_shared_with_later_calls():
+    gens = build_quantum(build_root_data(1, 0))
+    op = _shared_node_operators(gens)["f X^3"]
+    mono = ((0, 1),)
+    want = _unmemoised(op, {mono: ONE})
+    assert want
+    for _ in range(2):
+        img = op.apply_monomial(mono)
+        assert poly_eq(img, want)
+        for m in img:
+            img[m] = MINUS_ONE
+        img[MONO_ONE] = ONE
+
+
+def _auxq41_n3(monkeypatch):
+    """AuxQ41 at (1,1), i=2, j=1, n=3, exactly as check_aux states it."""
+    gens = build_quantum(build_root_data(1, 1))
+    suites = {}
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_run",
+                   lambda tag, degree, instances:
+                   suites.setdefault(tag, list(instances)))
+        verify.check_aux(gens, 3, nmax=3)
+    (lhs, rhs), = [(lhs, rhs) for label, lhs, rhs in suites["AuxQ41"]
+                   if label == "i=2,j=1,n=3"]
+    return lhs, rhs
+
+
+def _reachable(*roots):
+    """Ids of the objects reachable from roots through gc.get_referents,
+    not entering types, modules or callables (program state shared by
+    every operator)."""
+    seen = set()
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if not (isinstance(obj, (type, types.ModuleType)) or callable(obj)):
+            todo.extend(gc.get_referents(obj))
+    return seen
+
+
+def test_no_image_outlives_its_probe(monkeypatch):
+    lhs, rhs = _auxq41_n3(monkeypatch)
+    before = len(_reachable(lhs, rhs))
+    assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
+    assert len(_reachable(lhs, rhs)) == before
+
+
+def test_auxq41_work_count(monkeypatch):
+    """Koszul-layer calls for AuxQ41 (n=3) at (1,1), degree 3.
+
+    Without the image memo this instance made 4184 calls to
+    ``mul_coord`` and ``grassmann_remove`` together; with it, a nested
+    node's image of a monomial is computed once per probe.
+    """
+    lhs, rhs = _auxq41_n3(monkeypatch)
+    calls = [0]
+    for name in ("mul_coord", "grassmann_remove"):
+        def counted(*args, _fn=getattr(superpoly, name)):
+            calls[0] += 1
+            return _fn(*args)
+        monkeypatch.setattr(superpoly, name, counted)
+    assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
+    assert calls[0] == 2642
+    assert calls[0] < 4184
