@@ -11,9 +11,12 @@ the coordinate chart, in three flavours:
   * ``prop3``: the quantum generators with the exponents reduced to
     explicit nu-sign combinations.
 
-The two quantum variants must agree extensionally; that agreement is
-exactly the content of the five linear-form reduction identities checked
-by :func:`check_linform_identities`.
+prop2 and prop3 are one construction.  Each exponent is written once in
+terms of the five reduction identities I43-I47, and each identity is one
+function returning its (triple-sum side, reduced side) pair: prop2 (and
+the classical variant) reads side 0, prop3 reads side 1.  The two sides
+are equal LinForms, so both variants print identical listings, and
+:func:`check_linform_identities` compares the very pairs the builders read.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ class RootData:
 
     def a(self, i, j):
         return self.cartan[i - 1][j - 1]
+
+    def a_sum(self, i, lo, hi):
+        """sum_{r=lo}^{hi} a_{ir}; zero for an empty range."""
+        return sum(self.a(i, r) for r in range(lo, hi + 1))
 
     def root_inner(self, i, j):
         """(alpha_i | alpha_j) under (eps_i | eps_j) = nu_i delta_ij."""
@@ -99,30 +106,80 @@ def _weight_form(i, weights):
     return LinForm(None, weights[i - 1], None)
 
 
+def _m(cs, l, m, c=1):
+    return LinForm({cs.pos[(l, m)]: c})
+
+
+def _sum(forms):
+    return sum(forms, LinForm())
+
+
 def _triple_sum(data, cs, i, m_from):
     """sum_{m>=m_from} sum_{l<=m} (sum_{r=l}^m a_{ir}) M_{lm}."""
     co = {}
     for m in range(m_from, data.K + 1):
         for l in range(1, m + 1):
-            c = sum(data.a(i, r) for r in range(l, m + 1))
+            c = data.a_sum(i, l, m)
             if c:
                 p = cs.pos[(l, m)]
                 co[p] = co.get(p, 0) + c
     return LinForm(co)
 
 
-def _m(cs, l, m, c=1):
-    return LinForm({cs.pos[(l, m)]: c})
-
-
-def _t_form_prop3(data, cs, i, weights):
+def _row_pair(data, cs, i, m_from):
+    """sum_{l>=m_from} nu_i M(i,l) - nu_{i+1} M(i+1,l), for m_from > i."""
     nu = data.nu
-    f = _weight_form(i, weights)
-    for l in range(1, i):
-        f = f + _m(cs, l, i, -nu[i + 1]) + _m(cs, l, i - 1, nu[i])
-    for l in range(i + 1, data.K + 1):
-        f = f + _m(cs, i, l, -nu[i]) + _m(cs, i + 1, l, nu[i + 1])
-    return f + _m(cs, i, i, -(nu[i] + nu[i + 1]))
+    return _sum(_m(cs, i, l, nu[i]) + _m(cs, i + 1, l, -nu[i + 1])
+                for l in range(m_from, data.K + 1))
+
+
+def _staircase(data, cs, i, hi):
+    """sum_{l=1}^{hi} nu_{i+1} M(l,i) - nu_i M(l,i-1), for hi < i."""
+    nu = data.nu
+    return _sum(_m(cs, l, i, nu[i + 1]) + _m(cs, l, i - 1, -nu[i])
+                for l in range(1, hi + 1))
+
+
+# ---------------------------------------------------------------------------
+# linear-form reduction identities behind the prop2 -> prop3 simplification:
+# each returns (triple-sum side, reduced side); prop2 and the classical
+# variant read side 0, prop3 reads side 1
+# ---------------------------------------------------------------------------
+
+def _i43(data, cs, i):
+    """I43: the whole triple sum of row i (the exponent of t_i)."""
+    nu = data.nu
+    return (_triple_sum(data, cs, i, 1),
+            _m(cs, i, i, nu[i] + nu[i + 1]) + _staircase(data, cs, i, i - 1)
+            + _row_pair(data, cs, i, i + 1))
+
+
+def _i44(data, cs, i, m_from):
+    """I44: the triple sum over m >= m_from > i is a row pair."""
+    return _triple_sum(data, cs, i, m_from), _row_pair(data, cs, i, m_from)
+
+
+def _i45(data, cs, i, j):
+    """I45, j < i: sum_{l=j+1}^{i} (sum_{r=l}^{i} a_{ir}) M(l,i)."""
+    nu = data.nu
+    return (_sum(_m(cs, l, i, data.a_sum(i, l, i))
+                 for l in range(j + 1, i + 1)),
+            _m(cs, i, i, nu[i] + nu[i + 1])
+            + _sum(_m(cs, l, i, nu[i + 1]) for l in range(j + 1, i)))
+
+
+def _i46(data, cs, i, j):
+    """I46, i < j: sum_{l=i}^{j} (sum_{r=l}^{j} a_{ir}) M(l,j)."""
+    nu = data.nu
+    return (_sum(_m(cs, l, j, data.a_sum(i, l, j)) for l in range(i, j + 1)),
+            _m(cs, i, j, nu[i]) + _m(cs, i + 1, j, -nu[i + 1]))
+
+
+def _i47(data, cs, i, j):
+    """I47, i <= j: sum_{l=i}^{j} a_{il} - sum_{l=i+1}^{j} a_{il}."""
+    nu = data.nu
+    return (LinForm(None, data.a_sum(i, i, j) - data.a_sum(i, i + 1, j)),
+            LinForm(None, nu[i] + nu[i + 1]))
 
 
 def _e_terms(data, cs, i, diff):
@@ -130,94 +187,45 @@ def _e_terms(data, cs, i, diff):
 
     The classical form carries no q-power prefixes.
     """
-    nu = data.nu
-
-    def expo(upper):
-        f = LinForm()
-        for k in range(1, upper + 1):
-            f = f + _m(cs, k, i, nu[i + 1]) + _m(cs, k, i - 1, -nu[i])
-        return f
-
     terms = []
     ops = (("d" if diff else "D", cs.pos[(i, i)]),)
-    lead = expo(i - 1)
+    lead = _staircase(data, cs, i, i - 1)
     if not diff and not lead.is_zero():
         ops = (("qpow", lead),) + ops
     terms.append((ONE, ops))
     for l in range(1, i):
         ops = (("x", cs.pos[(l, i - 1)]), ("d" if diff else "D", cs.pos[(l, i)]))
-        pre = expo(l - 1)
+        pre = _staircase(data, cs, i, l - 1)
         if not diff and not pre.is_zero():
             ops = (("qpow", pre),) + ops
         terms.append((ONE, ops))
     return terms
 
 
-def _rho_prop3(data, cs, i, j, weights):
-    nu = data.nu
-    f = _weight_form(i, weights) + _m(cs, i, i, -(nu[i] + nu[i + 1]))
-    for l in range(j + 1, i):
-        f = f + _m(cs, l, i, -nu[i + 1]) + _m(cs, l, i - 1, nu[i])
-    for l in range(i + 1, data.K + 1):
-        f = f + _m(cs, i, l, -nu[i]) + _m(cs, i + 1, l, nu[i + 1])
-    return f
-
-
-def _eta_prop3(data, cs, i, j, weights):
-    nu = data.nu
-    f = _weight_form(i, weights).shift(nu[i] + nu[i + 1])
-    for l in range(j, data.K + 1):
-        f = f + _m(cs, i, l, -nu[i]) + _m(cs, i + 1, l, nu[i + 1])
-    return f
-
-
-def _rho_prop2(data, cs, i, j, weights):
-    nu = data.nu
-    f = _weight_form(i, weights) - _triple_sum(data, cs, i, i + 1)
-    for l in range(j + 1, i + 1):
-        c = sum(data.a(i, r) for r in range(l, i + 1))
-        f = f + _m(cs, l, i, -c)
-    for l in range(j + 1, i):
-        f = f + _m(cs, l, i - 1, nu[i])
-    return f
-
-
-def _eta_prop2(data, cs, i, j, weights):
-    f = _weight_form(i, weights) - _triple_sum(data, cs, i, j + 1)
-    for l in range(i, j + 1):
-        c = sum(data.a(i, r) for r in range(l, j + 1))
-        f = f + _m(cs, l, j, -c)
-    const = sum(data.a(i, l) for l in range(i, j + 1)) \
-        - sum(data.a(i, l) for l in range(i + 1, j + 1))
-    return f.shift(const)
-
-
 def _f_terms(data, cs, i, variant, weights):
     """f_i in any variant; the classical form is prop2 at q = 1."""
     nu = data.nu
     diff = variant == "classical"
-    rho = _rho_prop3 if variant == "prop3" else _rho_prop2
-    eta = _eta_prop3 if variant == "prop3" else _eta_prop2
+    side = variant == "prop3"
+    w = _weight_form(i, weights)
+    row = _i44(data, cs, i, i + 1)[side]
     deriv = "d" if diff else "D"
     terms = []
     for j in range(1, i):
         ops = (("x", cs.pos[(j, i)]), (deriv, cs.pos[(j, i - 1)]))
         if not diff:
-            ops = (("qpow", rho(data, cs, i, j, weights)),) + ops
+            rho = w - row - _i45(data, cs, i, j)[side] \
+                + _sum(_m(cs, l, i - 1, nu[i]) for l in range(j + 1, i))
+            ops = (("qpow", rho),) + ops
         terms.append((ONE if nu[i] > 0 else MINUS_ONE, ops))
     for j in range(i + 1, data.K + 1):
         ops = (("x", cs.pos[(i, j)]), (deriv, cs.pos[(i + 1, j)]))
         if not diff:
-            ops = (("qpow", -eta(data, cs, i, j, weights)),) + ops
+            eta = w - _i44(data, cs, i, j + 1)[side] \
+                - _i46(data, cs, i, j)[side] + _i47(data, cs, i, j)[side]
+            ops = (("qpow", -eta),) + ops
         terms.append((MINUS_ONE if nu[i + 1] > 0 else ONE, ops))
-    if variant == "prop3":
-        tail = _weight_form(i, weights) \
-            + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
-        for l in range(i + 1, data.K + 1):
-            tail = tail + _m(cs, i, l, -nu[i]) + _m(cs, i + 1, l, nu[i + 1])
-    else:
-        tail = _weight_form(i, weights) - _triple_sum(data, cs, i, i + 1) \
-            + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
+    tail = w - row + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
     terms.append((ONE, (("x", cs.pos[(i, i)]),
                         ("lin" if diff else "qnum", tail))))
     return terms
@@ -228,12 +236,9 @@ def _build(data, weights, variant):
     diff = variant == "classical"
     t, e, f, t_form = {}, {}, {}, {}
     for i in range(1, data.K + 1):
-        if variant == "prop3":
-            form = _t_form_prop3(data, cs, i, weights)
-        else:
-            form = _weight_form(i, weights) - _triple_sum(data, cs, i, 1)
-        t_form[i] = form
-        t[i] = OpExpr.term(cs, (("lin" if diff else "qpow", form),))
+        t_form[i] = _weight_form(i, weights) \
+            - _i43(data, cs, i)[variant == "prop3"]
+        t[i] = OpExpr.term(cs, (("lin" if diff else "qpow", t_form[i]),))
         e[i] = OpExpr(cs, _e_terms(data, cs, i, diff))
         f[i] = OpExpr(cs, _f_terms(data, cs, i, variant, weights))
     return GeneratorSet(data, cs, variant, weights, t, e, f, t_form)
@@ -292,61 +297,30 @@ def q_exponential(cs, coord, X, order):
     return out
 
 
-# ---------------------------------------------------------------------------
-# linear-form reduction identities behind the prop2 -> prop3 simplification
-# ---------------------------------------------------------------------------
-
 def check_linform_identities(data):
-    """Verify the five Cartan-substitution identities as LinForm equalities.
+    """Verify the five reduction identities as LinForm equalities.
 
-    Returns a dict id -> {"instances": n, "failures": [labels]}.
+    Compares the two sides of exactly the identities the prop3 builders
+    read.  Returns a dict id -> {"instances": n, "failures": [labels]}.
     """
     cs = CoordSystem(data.M, data.N)
-    nu = data.nu
-    K = data.K
     report = {}
 
-    def record(name, label, lhs, rhs):
+    def record(name, label, sides):
         entry = report.setdefault(name, {"instances": 0, "failures": []})
         entry["instances"] += 1
-        if lhs != rhs:
+        if sides[0] != sides[1]:
             entry["failures"].append(label)
 
-    for i in range(1, K + 1):
-        lhs = _triple_sum(data, cs, i, 1)
-        rhs = _m(cs, i, i, nu[i] + nu[i + 1])
-        for l in range(1, i):
-            rhs = rhs + _m(cs, l, i, nu[i + 1]) + _m(cs, l, i - 1, -nu[i])
-        for l in range(i + 1, K + 1):
-            rhs = rhs + _m(cs, i, l, nu[i]) + _m(cs, i + 1, l, -nu[i + 1])
-        record("I43", "i=%d" % i, lhs, rhs)
-
-        lhs = _triple_sum(data, cs, i, i + 1)
-        rhs = LinForm()
-        for l in range(i + 1, K + 1):
-            rhs = rhs + _m(cs, i, l, nu[i]) + _m(cs, i + 1, l, -nu[i + 1])
-        record("I44", "i=%d" % i, lhs, rhs)
-
-    for i, j in itertools.product(range(1, K + 1), repeat=2):
+    for i in range(1, data.K + 1):
+        record("I43", "i=%d" % i, _i43(data, cs, i))
+        record("I44", "i=%d" % i, _i44(data, cs, i, i + 1))
+    for i, j in itertools.product(range(1, data.K + 1), repeat=2):
+        label = "i=%d,j=%d" % (i, j)
         if j < i:
-            lhs = LinForm()
-            for l in range(j + 1, i + 1):
-                c = sum(data.a(i, r) for r in range(l, i + 1))
-                lhs = lhs + _m(cs, l, i, c)
-            rhs = _m(cs, i, i, nu[i] + nu[i + 1])
-            for l in range(j + 1, i):
-                rhs = rhs + _m(cs, l, i, nu[i + 1])
-            record("I45", "i=%d,j=%d" % (i, j), lhs, rhs)
+            record("I45", label, _i45(data, cs, i, j))
         if i < j:
-            lhs = LinForm()
-            for l in range(i, j + 1):
-                c = sum(data.a(i, r) for r in range(l, j + 1))
-                lhs = lhs + _m(cs, l, j, c)
-            rhs = _m(cs, i, j, nu[i]) + _m(cs, i + 1, j, -nu[i + 1])
-            record("I46", "i=%d,j=%d" % (i, j), lhs, rhs)
+            record("I46", label, _i46(data, cs, i, j))
         if i <= j:
-            lhs = sum(data.a(i, l) for l in range(i, j + 1)) \
-                - sum(data.a(i, l) for l in range(i + 1, j + 1))
-            record("I47", "i=%d,j=%d" % (i, j),
-                   LinForm(None, lhs), LinForm(None, nu[i] + nu[i + 1]))
+            record("I47", label, _i47(data, cs, i, j))
     return report

@@ -192,6 +192,8 @@ class OpExpr:
         return self.compose(other)
 
     def power(self, n):
+        if n < 0:
+            raise ValueError("negative powers not supported")
         if n == 0:
             return OpExpr.identity(self.cs)
         out = self
@@ -402,8 +404,10 @@ def graded_commutator(a, b, xi=None):
 
 def basis_monomials(cs, degree):
     """All monomials of total degree <= degree, graded then row-major lex."""
-    for total in range(degree + 1):
-        yield from _monos_of_degree(cs, 0, total, ())
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    return (mono for total in range(degree + 1)
+            for mono in _monos_of_degree(cs, 0, total, ()))
 
 
 def _monos_of_degree(cs, pos, remaining, acc):

@@ -234,6 +234,8 @@ def check_serre(gens, degree):
 # ---------------------------------------------------------------------------
 
 def check_aux(gens, degree, nmax=3):
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     K = data.K
@@ -386,6 +388,8 @@ def run_full(M, N, mode="symbolic", degree=3, nmax=2, variant="prop3",
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
+    if nmax < 1:
+        raise ValueError("nmax must be >= 1")
     if mode not in ("symbolic", "integer"):
         raise ValueError("mode must be symbolic or integer")
     if mode == "integer":

@@ -4,6 +4,7 @@ import pytest
 
 from qsuperalg.scalars import ONE, qpow, qnum
 from qsuperalg.superpoly import MONO_ONE, poly_one, poly_eq
+from qsuperalg import algebra
 from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
 from qsuperalg.algebra import (build_root_data, build_quantum,
                                build_classical, build_xminus,
@@ -227,3 +228,31 @@ def test_linform_identities_counts():
     assert report["I45"]["instances"] == 3      # pairs with j < i
     assert report["I46"]["instances"] == 3      # pairs with i < j
     assert report["I47"]["instances"] == 6      # pairs with i <= j
+
+
+def _variant_pair(M, N):
+    data = build_root_data(M, N)
+    return (build_quantum(data, variant="prop2"),
+            build_quantum(data, variant="prop3"))
+
+
+def _same_structure(g2, g3):
+    """Equal t-forms and equal terms (coefficients, factors, LinForms)."""
+    return g2.t_form == g3.t_form and all(
+        getattr(g2, fam)[i].terms == getattr(g3, fam)[i].terms
+        for fam in ("t", "e", "f") for i in range(1, g2.data.K + 1))
+
+
+def test_prop2_and_prop3_are_one_construction(monkeypatch):
+    ranks = [(M, N) for M in range(6) for N in range(6 - M)]
+    for M, N in ranks:
+        assert _same_structure(*_variant_pair(M, N)), (M, N)
+    # a wrong reduced piece breaks both the identity check and the
+    # agreement of the variants: the check certifies what prop3 reads
+    row_pair = algebra._row_pair
+    monkeypatch.setattr(algebra, "_row_pair",
+                        lambda *args: row_pair(*args).shift(1))
+    for M, N in ranks:
+        report = check_linform_identities(build_root_data(M, N))
+        assert report["I43"]["failures"] and report["I44"]["failures"]
+        assert not _same_structure(*_variant_pair(M, N)), (M, N)

@@ -418,3 +418,15 @@ def test_auxq41_work_count(monkeypatch):
     assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
     assert calls[0] == 2642
     assert calls[0] < 4184
+
+
+def test_negative_degree_is_rejected():
+    with pytest.raises(ValueError):
+        basis_monomials(CS, -1)
+    with pytest.raises(ValueError):
+        op_eq_on_basis(x(Z), OpExpr.zero(CS), -1)
+
+
+def test_negative_power_is_rejected():
+    with pytest.raises(ValueError):
+        x(Z).power(-1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qsuperalg import verify
 from qsuperalg.scalars import qpow
 from qsuperalg.algebra import build_root_data, build_quantum, build_classical
 from qsuperalg.verify import (run_full, check_cartan_relations,
@@ -127,3 +128,22 @@ def test_aux_suites_standalone_classical():
     results = check_aux(gens, 2, nmax=2)
     assert {r.id for r in results} == {"AuxC16", "AuxC17", "AuxC18", "AuxC19"}
     assert all(r.status == "pass" for r in results)
+
+
+def test_suites_reject_negative_degree():
+    gens = build_quantum(build_root_data(1, 0))
+    with pytest.raises(ValueError):
+        check_cartan_relations(gens, -1)
+
+
+def test_nmax_below_one_is_rejected(monkeypatch):
+    gens = build_quantum(build_root_data(1, 0))
+    with pytest.raises(ValueError):
+        check_aux(gens, 2, 0)
+
+    def unreachable(*args):
+        raise AssertionError("nmax must be checked before any build")
+
+    monkeypatch.setattr(verify, "build_generators", unreachable)
+    with pytest.raises(ValueError, match="nmax"):
+        run_full(1, 0, degree=2, nmax=0)
