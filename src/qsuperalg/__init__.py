@@ -2,13 +2,13 @@
 superalgebra of type sl(M+1|N+1) as q-difference operators on a
 super-polynomial coordinate space."""
 
-from .scalars import RingElem, NonPolynomialLimit, qnum, qpow, qfactorial
+from .scalars import RingElem, NonPolynomialLimit, qnum, qpow
 from .superpoly import CoordSystem, coord_parity
 from .operators import (LinForm, OpExpr, ContextMismatch, MixedParity,
                         graded_commutator, op_eq_on_basis, basis_monomials)
 from .algebra import (RootData, GeneratorSet, build_root_data,
                       build_classical, build_quantum, build_xminus,
-                      q_exponential, check_linform_identities)
+                      check_linform_identities)
 from .verify import run_full, VerificationReport
 
 __version__ = "0.1.0"

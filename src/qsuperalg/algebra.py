@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .scalars import ONE, MINUS_ONE, qpow, qfactorial
+from .scalars import ONE, MINUS_ONE, qpow
 from .superpoly import CoordSystem
 from .operators import LinForm, OpExpr, graded_commutator
 
@@ -276,25 +276,6 @@ def build_xminus(gens, l, m):
         xi = qpow(-gens.data.nu[k]) if gens.quantum else None
         x = graded_commutator(gens.f[k], x, xi)
     return x
-
-
-def q_exponential(cs, coord, X, order):
-    """Truncation of sum_n x^n X^n / [n]! as an operator expression.
-
-    ``coord`` is an (l, m) coordinate pair; for a Grassmann coordinate the
-    order-1 truncation is already exact.
-    """
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    pos = cs.pos[coord]
-    if cs.odd[pos] and order > 1:
-        order = 1
-    out = OpExpr.identity(cs)
-    for n in range(1, order + 1):
-        xs = OpExpr.term(cs, (("x", pos),) * n)
-        coeff = ONE / qfactorial(n)
-        out = out + xs.compose(X.power(n)).scale(coeff)
-    return out
 
 
 def check_linform_identities(data):

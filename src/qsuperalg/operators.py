@@ -30,8 +30,7 @@ outlives its probe.
 
 from __future__ import annotations
 
-from .scalars import (RingElem, ONE, MINUS_ONE, qpow, qnum, _qnum_int,
-                      _int_elem)
+from .scalars import ONE, MINUS_ONE, qpow, qnum, lin, _qnum_int, _int_elem
 from . import superpoly as sp
 
 
@@ -378,15 +377,10 @@ def _run(cs, ops, m, c):
             c = c * s
         else:  # 'lin': value is linear in the weight symbols
             lf = op[1]
-            num = {}
-            v = lf.eval_const(m)
-            if v:
-                num[(0, ())] = v
-            for i, ci in lf.lam.items():
-                num[(0, ((i, 1),))] = ci
-            if not num:
+            s = lin(lf.eval_const(m), lf.lam)
+            if s.is_zero():
                 return None
-            c = c * RingElem(num, None, _reduced=True)
+            c = c * s
     return m, c
 
 

@@ -1,25 +1,42 @@
 """Exact scalar arithmetic for the q-operator engine.
 
-Scalars are Laurent polynomials in q and in weight markers Q1, Q2, ...
-(the marker Qi stands for q raised to the i-th weight), divided by a
-Laurent polynomial in q alone.  All coefficients are exact rationals;
-there is no floating point anywhere.
+A scalar is a Laurent polynomial in q and the weight markers Q1, Q2, ...
+(Qi stands for q to the i-th weight) over a power of (q - q^-1), since the
+q-numbers [c + lambda] = (q^c Q - q^-c Q^-1)/(q - q^-1) are the only
+denominators.  It is stored as (num, k), with value num / (q^2 - 1)^k and
+exact rational coefficients, in canonical form: if k > 0, (q^2 - 1) does
+not divide num.  So ``==`` and the hash read the pair.  A sum lifts the
+smaller-k side by (q^2 - 1)^dk, a product adds the k's, and both then
+cancel (q^2 - 1) while it divides.
 
-A Laurent polynomial is stored as a dict mapping keys to nonzero
-rational coefficients.  A key is a pair ``(qexp, wkey)`` where ``qexp``
-is the exponent of q and ``wkey`` is a sorted tuple of
-``(marker_index, exponent)`` pairs with nonzero exponents.
+q - 1 and q + 1 are coprime primes of Q[q^+-1, Q^+-1], so (q^2 - 1)
+divides num exactly when num vanishes at q = 1 and at q = -1 in every
+marker group.  Evaluation at q = +-1 is a ring map into the domain
+Q[Q^+-1]: a product's two vanishing flags are the OR of its factors', with
+no scan, and a sum with unequal k has the flags of its higher-k side (the
+lifted side vanishes at both points).  Flags are computed on first use and
+cached, so k = 0 elements (every classical scalar) never pay for them.
 
-Denominators are kept canonical with minimal q-exponent 0 and leading
-coefficient 1, and common factors of (q - q^-1) are cancelled exactly,
-so elements whose denominator is a power of (q - q^-1) have a unique
-representation.  Generic equality falls back to cross-multiplication.
+A monomial q^e0 Q1^e1 Q2^e2 ... is keyed by the int e0 + e1 B + e2 B^2 + ...
+with B = 2^16 and every |ei| <= LIMIT (Kronecker substitution, balanced
+digits), so keys add under multiplication.  Each element bounds its
+largest |ei|; bounds add under ``*`` and take the max under ``+``.  A bound
+past LIMIT is checked against the exact exponents and raises
+``OverflowError`` if they pass it too: a digit never wraps silently.
+
+Division accepts only a marker-free c q^a (q - q^-1)^j; else ``ValueError``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
+
+_W = 16
+_H = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+LIMIT = _H - 1
 
 
 class NonPolynomialLimit(Exception):
@@ -27,240 +44,251 @@ class NonPolynomialLimit(Exception):
 
 
 # ---------------------------------------------------------------------------
-# raw Laurent-polynomial helpers (dicts key -> coefficient)
+# packed Laurent polynomials: dicts packed key -> nonzero coefficient
 # ---------------------------------------------------------------------------
 
-def _wkey_add(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        e2 = d.get(i, 0) + e
-        if e2:
-            d[i] = e2
-        else:
-            del d[i]
-    return tuple(sorted(d.items()))
+def _pack(qexp, weights):
+    """The packed key of q^qexp prod Qi^weights[i], and its largest |e|."""
+    key, bound = qexp, abs(qexp)
+    for i, e in weights:
+        if i < 1:
+            raise ValueError("weight markers are numbered from 1")
+        key += e << (_W * i)
+        bound = max(bound, abs(e))
+    return key, _fit(bound)
 
 
-def lp_add_into(acc, p, factor=1):
-    for k, c in p.items():
-        c2 = acc.get(k, 0) + factor * c
-        if c2:
-            acc[k] = c2
-        else:
-            del acc[k]
+def _fit(bound):
+    if bound > LIMIT:
+        raise OverflowError("exponents up to %d leave the packed field "
+                            "[-%d, %d]" % (bound, LIMIT, LIMIT))
+    return bound
 
 
-def lp_add(a, b):
-    out = dict(a)
-    lp_add_into(out, b)
-    return out
+@lru_cache(maxsize=None)
+def _unpack(key):
+    """(qexp, sorted ((marker, exponent), ...)) of a packed key."""
+    digits = []
+    while key:
+        d = ((key + _H) & _MASK) - _H
+        digits.append(d)
+        key = (key - d) >> _W
+    return ((digits[0] if digits else 0),
+            tuple((i, e) for i, e in enumerate(digits) if i and e))
 
 
-def lp_neg(a):
-    return {k: -c for k, c in a.items()}
+def _exact_bound(n):
+    """The largest |exponent| in the keys of n."""
+    return max((max(abs(d) for d in (q, *(e for _, e in wk)))
+                for q, wk in map(_unpack, n)), default=0)
 
 
-def lp_mul(a, b):
-    if not a or not b:
-        return {}
+def _flags(n):
+    """Bit 1: num vanishes at q = 1, bit 2: at q = -1, in every marker
+    group (a key less its q digit); a key's parity is its q exponent's."""
+    at1, atm1 = {}, {}
+    for key, c in n.items():
+        g = (key + _H) >> _W
+        at1[g] = at1.get(g, 0) + c
+        atm1[g] = atm1.get(g, 0) + (-c if key & 1 else c)
+    return (not any(at1.values())) | (not any(atm1.values())) << 1
+
+
+def _div_qsq1(n):
+    """num / (q^2 - 1) for a num vanishing at q = +-1 in every group: h[e]
+    is the sum of num at e + 2, e + 4, ..., which is 0 between groups."""
     out = {}
-    for (qa, wa), ca in a.items():
-        for (qb, wb), cb in b.items():
-            k = (qa + qb, _wkey_add(wa, wb))
-            c = out.get(k, 0) + ca * cb
-            if c:
-                out[k] = c
-            else:
-                del out[k]
+    acc = [0, 0]
+    last = [0, 0]
+    for key in sorted(n, reverse=True):
+        par = key & 1
+        s = acc[par]
+        if s:
+            for x in range(key, last[par], 2):
+                out[x] = s
+        acc[par] = s + n[key]
+        last[par] = key
     return out
 
 
-def lp_scale(a, c):
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
+def _lift(n, d):
+    """num * (q^2 - 1)^d."""
+    for _ in range(d):
+        n = _mul(n, _QSQ1)
+    return n
 
 
-def lp_shift(a, n):
-    """Multiply by q^n."""
-    if n == 0:
-        return a
-    return {(qe + n, wk): c for (qe, wk), c in a.items()}
-
-
-# q-only polynomials are dicts qexp -> coeff
-def qp_mul(a, b):
+def _mul(a, b):
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            else:
-                del out[e]
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    if 0 in out.values():
+        return {k: c for k, c in out.items() if c}
     return out
 
 
-def qp_lift(a):
-    """Embed a q-only dict into the full key space."""
-    return {(e, ()): c for e, c in a.items()}
-
-
-_QSQ1 = {2: 1, 0: -1}  # q^2 - 1
-
-
-def _qp_div_qsq1(p):
-    """Exact division of a q-only Laurent poly by q^2 - 1, or None."""
-    if not p:
-        return {}
-    lo = min(p)
-    hi = max(p)
-    dense = [p.get(e, 0) for e in range(lo, hi + 1)]
-    n = len(dense)
-    if n < 3:
-        return None
-    quot = [0] * (n - 2)
-    for j in range(n - 1, 1, -1):
-        c = dense[j]
-        if c:
-            quot[j - 2] = c
-            dense[j] = 0
-            dense[j - 2] += c
-    if dense[0] or dense[1]:
-        return None
-    return {lo + j: c for j, c in enumerate(quot) if c}
-
-
-def _lp_div_s(p):
-    """Exact division of a full Laurent poly by (q - q^-1), or None.
-
-    Uses p / (q - q^-1) = (q * p) / (q^2 - 1), applied per marker group.
-    """
-    groups = {}
-    for (qe, wk), c in p.items():
-        groups.setdefault(wk, {})[qe + 1] = c
-    out = {}
-    for wk, g in groups.items():
-        h = _qp_div_qsq1(g)
-        if h is None:
-            return None
-        for e, c in h.items():
-            out[(e, wk)] = c
-    return out
+def _rational(c):
+    if not isinstance(c, int):
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+    return c
 
 
 # ---------------------------------------------------------------------------
 # ring elements
 # ---------------------------------------------------------------------------
 
-_NUM_ONE = {(0, ()): 1}
-_DEN_ONE = {0: 1}
-
-
 class RingElem:
-    """An exact scalar: Laurent poly over q and markers, over a q-only poly.
+    """An exact scalar num / (q^2 - 1)^k in canonical form; immutable.
 
-    Instances are immutable; all operations return new elements.
+    Read-only views: ``num`` maps (qexp, sorted marker tuple) to coefficients,
+    ``den`` is (q^2 - 1)^k as a dict qexp -> coefficient, ``denom_pow`` is k.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_k", "_b", "_v")
 
-    def __init__(self, num, den=None, _reduced=False):
-        if den is None:
-            den = {0: 1}
-        if not _reduced:
-            num, den = _reduce(num, den)
-        self.num = num
-        self.den = den
+    def __init__(self, n, k, b, v=None):
+        self._n = n     # packed numerator
+        self._k = k     # power of (q^2 - 1) in the denominator
+        self._b = b     # bound on the largest |exponent| in any key
+        if v is not None:
+            # _flags(n), else unset until needed: caching it then adds no
+            # object that the element refers to
+            self._v = v
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(c):
-        if not isinstance(c, int):
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
-        if not c:
-            return ZERO
-        return RingElem({(0, ()): c}, None, _reduced=True)
+        c = _rational(c)
+        return RingElem({0: c}, 0, 0, 0) if c else ZERO
 
     @staticmethod
     def monomial(qexp=0, weights=None, coeff=1):
         """The single monomial coeff * q^qexp * prod Qi^weights[i]."""
         if not coeff:
             return ZERO
-        wk = tuple(sorted((i, e) for i, e in (weights or {}).items() if e))
-        return RingElem({(qexp, wk): coeff}, None, _reduced=True)
+        key, bound = _pack(qexp, sorted((weights or {}).items()))
+        return RingElem({key: _rational(coeff)}, 0, bound, 0)
+
+    @property
+    def num(self):
+        return {_unpack(key): c for key, c in self._n.items()}
+
+    @property
+    def den(self):
+        return {2 * j: comb(self._k, j) * (-1) ** (self._k - j)
+                for j in range(self._k + 1)}
+
+    @property
+    def denom_pow(self):
+        return self._k
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return not self._n
 
     def is_one(self):
-        if self.den == _DEN_ONE:
-            return self.num == _NUM_ONE
-        return self == ONE
+        return not self._k and self._n == _ONE_N
 
     def has_markers(self):
-        return any(wk for (_, wk) in self.num)
+        return any((key + _H) >> _W for key in self._n)
 
-    @property
-    def denom_pow(self):
-        """k when the denominator is exactly (q - q^-1)^k, else None."""
-        den = self.den
-        k = 0
-        while den != {0: 1}:
-            den = _qp_div_qsq1(den)
-            if den is None:
-                return None
-            k += 1
-        return k
+    def _flags(self):
+        try:
+            return self._v
+        except AttributeError:
+            v = self._v = _flags(self._n)
+            return v
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if self.den == other.den:
-            return RingElem(lp_add(self.num, other.num), self.den)
-        num = lp_add(lp_mul(self.num, qp_lift(other.den)),
-                     lp_mul(other.num, qp_lift(self.den)))
-        return RingElem(num, qp_mul(self.den, other.den))
+        a, b = self._n, other._n
+        if not b:
+            return self
+        if not a:
+            return other
+        if self._k < other._k:
+            self, other, a, b = other, self, b, a
+        k, d = self._k, self._k - other._k
+        bound = max(self._b, other._b + 2 * d)
+        if bound > LIMIT:
+            bound = _fit(max(_exact_bound(a), _exact_bound(b) + 2 * d))
+        n = dict(a)
+        get = n.get
+        for key, c in _lift(b, d).items():
+            c2 = get(key, 0) + c
+            if c2:
+                n[key] = c2
+            else:
+                del n[key]
+        if d:
+            # the lifted side vanishes at q = +-1, so the sum has the flags
+            # of the canonical higher-k side
+            return RingElem(n, k, bound, getattr(self, "_v", None))
+        return _canonical(n, k, bound, None)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RingElem(lp_neg(self.num), self.den, _reduced=True)
+        return RingElem({key: -c for key, c in self._n.items()},
+                        self._k, self._b, getattr(self, "_v", None))
 
     def __mul__(self, other):
-        if not self.num or not other.num:
+        a, b = self._n, other._n
+        if not a or not b:
             return ZERO
         # more than half of all products on the verify path have a unit
         # factor; elements are immutable, so the other one is the product
-        if other.num == _NUM_ONE and other.den == _DEN_ONE:
+        if not other._k and b == _ONE_N:
             return self
-        if self.num == _NUM_ONE and self.den == _DEN_ONE:
+        if not self._k and a == _ONE_N:
             return other
-        den = (self.den if other.den == _DEN_ONE
-               else other.den if self.den == _DEN_ONE
-               else qp_mul(self.den, other.den))
-        return RingElem(lp_mul(self.num, other.num), den)
+        bound = self._b + other._b
+        if bound > LIMIT:
+            bound = _fit(_exact_bound(a) + _exact_bound(b))
+        k = self._k + other._k
+        n = _mul(a, b)
+        if not k:
+            return RingElem(n, 0, bound)
+        # a single term never vanishes at q = +-1
+        va = 0 if len(a) == 1 else self._flags()
+        vb = 0 if len(b) == 1 else other._flags()
+        return _canonical(n, k, bound, va | vb)
 
     def __truediv__(self, other):
-        """Division by a marker-free element."""
+        """Division by a marker-free c * q^a * (q - q^-1)^j."""
         if other.has_markers():
             raise ValueError("can only divide by marker-free scalars")
         if other.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        bnum = {qe: c for (qe, _), c in other.num.items()}
-        return RingElem(lp_mul(self.num, qp_lift(other.den)),
-                        qp_mul(self.den, bnum))
+        d, j = other._n, 0
+        while len(d) > 1:
+            if _flags(d) != 3:
+                raise ValueError("can only divide by c q^a (q-q^-1)^j")
+            d = _div_qsq1(d)
+            j += 1
+        # self / (c q^e (q^2-1)^(j - k_other))
+        ((e, c),) = d.items()
+        inv = 1 / Fraction(c)
+        k = self._k + j - other._k
+        bound = _fit(_exact_bound(self._n) + abs(e) + 2 * max(-k, 0))
+        n = {key - e: _rational(inv * v) for key, v in self._n.items()}
+        if k < 0:
+            return RingElem(_lift(n, -k), 0, bound)
+        return _canonical(n, k, bound, getattr(self, "_v", None))
 
     def __pow__(self, n):
         if n < 0:
@@ -273,22 +301,10 @@ class RingElem:
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        return (lp_mul(self.num, qp_lift(other.den))
-                == lp_mul(other.num, qp_lift(self.den)))
+        return self._k == other._k and self._n == other._n
 
     def __hash__(self):
-        # a == b means N_a^w D_b = N_b^w D_a for the numerator group N^w of
-        # every marker key w, so the set of keys and, per key, the top and
-        # bottom q-exponents of N^w less those of the denominator agree
-        lo, hi = min(self.den), max(self.den)
-        span = {}
-        for qe, wk in self.num:
-            a, b = span.get(wk, (qe, qe))
-            span[wk] = (min(a, qe), max(b, qe))
-        return hash(frozenset((wk, a - lo, b - hi)
-                              for wk, (a, b) in span.items()))
+        return hash((self._k, frozenset(self._n.items())))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -296,34 +312,31 @@ class RingElem:
         """Substitute q = 1; exact rational result.
 
         Requires all weight markers to have been bound to integers first.
+        A removable singularity gives its limit h(1) / 2^k, where
+        num = (q - 1)^k h and h(1) = sum c binom(e, k) over the terms c q^e.
         """
         if self.has_markers():
             raise ValueError("weight markers present; bind weights first")
-        den1 = sum(self.den.values())
-        if not den1:
+        k = self._k
+        # num at q = 1 + t is sum_i t^i sum_e c binom(e, i)
+        taylor = [sum(c * _binom(e, i) for e, c in self._n.items())
+                  for i in range(k + 1)]
+        if any(taylor[:k]):
             raise NonPolynomialLimit("denominator vanishes at q = 1")
-        num1 = sum(self.num.values())
-        v = Fraction(num1, den1) if den1 != 1 else num1
-        return v if isinstance(v, int) or v.denominator != 1 else v.numerator
+        return _rational(Fraction(taylor[k], 2 ** k))
 
     # -- rendering ----------------------------------------------------------
 
     def render(self):
-        if not self.num:
+        if not self._n:
             return "0"
-        num = self.num
-        den = self.den
-        dp = self.denom_pow
-        if dp:
-            # display over (q-q^-1)^k: value = num/(q^2-1)^k = num*q^-k / s^k
-            num = lp_shift(num, -dp)
+        k = self._k
+        # over (q-q^-1)^k: value = num/(q^2-1)^k = num*q^-k / (q-q^-1)^k
+        num = {(qe - k, wk): c for (qe, wk), c in self.num.items()}
         body = _render_lp(num)
-        if den == {0: 1}:
+        if not k:
             return body
-        if dp is not None:
-            suffix = "(q-q^-1)" if dp == 1 else "(q-q^-1)^%d" % dp
-        else:
-            suffix = "(" + _render_lp(qp_lift(den)) + ")"
+        suffix = "(q-q^-1)" if k == 1 else "(q-q^-1)^%d" % k
         if len(num) > 1:
             body = "(" + body + ")"
         return body + " / " + suffix
@@ -332,74 +345,63 @@ class RingElem:
         return "RingElem(%s)" % self.render()
 
 
+def _binom(e, i):
+    """e choose i, for any integer e."""
+    return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
+
+
+def _canonical(n, k, bound, v):
+    """n / (q^2 - 1)^k in canonical form; ``v`` is _flags(n) or None."""
+    if not n:
+        return ZERO
+    while k:
+        if v is None:
+            v = _flags(n)
+        if v != 3:
+            break
+        n = _div_qsq1(n)
+        k -= 1
+        v = None
+    return RingElem(n, k, bound, v)
+
+
 def _render_lp(p):
-    parts = []
-    for (qe, wk) in sorted(p, key=lambda k: (-k[0],
-                                             tuple((i, -e) for i, e in k[1]))):
+    out = ""
+    for qe, wk in sorted(p, key=lambda k: (-k[0],
+                                           tuple((i, -e) for i, e in k[1]))):
         c = p[(qe, wk)]
-        factors = []
-        if qe:
-            factors.append("q^{%d}" % qe)
-        for i, e in wk:
-            factors.append("Q%d^{%d}" % (i, e))
-        if not factors:
-            text = str(c)
-        elif c == 1:
-            text = " ".join(factors)
-        elif c == -1:
-            text = "-" + " ".join(factors)
+        factors = " ".join((["q^{%d}" % qe] if qe else [])
+                           + ["Q%d^{%d}" % ie for ie in wk])
+        text = (str(c) if not factors else factors if c == 1
+                else "-" + factors if c == -1 else "%s %s" % (c, factors))
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += " - " + text[1:]
         else:
-            text = str(c) + " " + " ".join(factors)
-        parts.append(text)
-    out = parts[0]
-    for t in parts[1:]:
-        out += (" - " + t[1:]) if t.startswith("-") else (" + " + t)
+            out += " + " + text
     return out
 
 
-def _reduce(num, den):
-    if not num:
-        return {}, {0: 1}
-    # cancel common (q - q^-1) factors:
-    #   num/den = (num/s) * q^-1 / (den/(q^2-1))
-    while True:
-        dq = _qp_div_qsq1(den)
-        if dq is None:
-            break
-        nq = _lp_div_s(num)
-        if nq is None:
-            break
-        num = lp_shift(nq, -1)
-        den = dq
-    # canonical denominator: min exponent 0, leading coefficient 1
-    lo = min(den)
-    if lo:
-        den = {e - lo: c for e, c in den.items()}
-        num = lp_shift(num, -lo)
-    lc = den[max(den)]
-    if lc != 1:
-        inv = Fraction(1, 1) / lc
-        if inv.denominator == 1:
-            inv = inv.numerator
-        den = {e: c * inv for e, c in den.items()}
-        num = lp_scale(num, inv)
-    return num, den
-
-
-ZERO = RingElem({}, None, _reduced=True)
-ONE = RingElem({(0, ()): 1}, None, _reduced=True)
-MINUS_ONE = RingElem({(0, ()): -1}, None, _reduced=True)
-Q_MINUS_QINV = RingElem({(1, ()): 1, (-1, ()): -1}, None, _reduced=True)
+_ONE_N = {0: 1}
+_QSQ1 = {2: 1, 0: -1}
+ZERO = RingElem({}, 0, 0, 3)
+ONE = RingElem({0: 1}, 0, 0, 0)
+MINUS_ONE = RingElem({0: -1}, 0, 0, 0)
+Q_MINUS_QINV = RingElem({1: 1, -1: -1}, 0, 1, 3)
 
 
 # ---------------------------------------------------------------------------
 # q-powers and q-numbers of affine forms  c0 + sum_i d_i * lambda_i
 # ---------------------------------------------------------------------------
 
+def _lam_key(lam):
+    return tuple(sorted((i, e) for i, e in lam.items() if e)) if lam else ()
+
+
 def qpow(const, lam=None):
     """q^{const} * prod Qi^{lam[i]}, a single monomial."""
-    key = tuple(sorted((i, e) for i, e in lam.items() if e)) if lam else ()
-    return _qpow_cached(const, key)
+    return _qpow_cached(const, _lam_key(lam))
 
 
 @lru_cache(maxsize=None)
@@ -409,13 +411,10 @@ def _qpow_cached(const, lam_key):
 
 @lru_cache(maxsize=None)
 def _qnum_int(n):
-    if n == 0:
-        return ZERO
-    if n < 0:
-        return -_qnum_int(-n)
-    # [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}
-    return RingElem({(n - 1 - 2 * k, ()): 1 for k in range(n)},
-                    None, _reduced=True)
+    # [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}, odd in n
+    if n <= 0:
+        return -_qnum_int(-n) if n else ZERO
+    return RingElem({n - 1 - 2 * j: 1 for j in range(n)}, 0, _fit(n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -426,24 +425,24 @@ def _int_elem(n):
 
 def qnum(const, lam=None):
     """[const + sum lam_i], the symmetric q-number of an affine form."""
-    key = tuple(sorted((i, e) for i, e in lam.items() if e)) if lam else ()
-    if not key:
-        return _qnum_int(const)
-    return _qnum_cached(const, key)
+    key = _lam_key(lam)
+    return _qnum_cached(const, key) if key else _qnum_int(const)
 
 
 @lru_cache(maxsize=None)
 def _qnum_cached(const, lam_key):
-    lam = dict(lam_key)
-    num = lp_add(qpow(const, lam).num,
-                 lp_neg(qpow(-const, {i: -e for i, e in lam.items()}).num))
-    return RingElem(num, {1: 1, -1: -1})
+    # (q^c Q - q^-c Q^-1)/(q - q^-1) = (q^{c+1} Q - q^{1-c} Q^-1)/(q^2 - 1)
+    key, bound = _pack(const, lam_key)
+    return _canonical({key + 1: 1, 1 - key: -1}, 1, _fit(bound + 1), None)
+
+
+def lin(const, lam=None):
+    """const + sum lam_i Qi: an affine form's value with its markers read
+    classically, as the weights themselves."""
+    return _lin_cached(const, _lam_key(lam))
 
 
 @lru_cache(maxsize=None)
-def qfactorial(n):
-    """[n]! = [1][2]...[n]."""
-    out = ONE
-    for k in range(2, n + 1):
-        out = out * _qnum_int(k)
-    return out
+def _lin_cached(const, lam_key):
+    return sum((RingElem.monomial(0, {i: 1}, c) for i, c in lam_key),
+               RingElem.from_rational(const))

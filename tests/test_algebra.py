@@ -2,13 +2,13 @@
 
 import pytest
 
-from qsuperalg.scalars import ONE, qpow, qnum
+from qsuperalg.scalars import qpow
 from qsuperalg.superpoly import MONO_ONE, poly_one, poly_eq
 from qsuperalg import algebra
 from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
 from qsuperalg.algebra import (build_root_data, build_quantum,
                                build_classical, build_xminus,
-                               q_exponential, check_linform_identities)
+                               check_linform_identities)
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +128,6 @@ def test_odd_root_vectors_square_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# q-exponentials
-# ---------------------------------------------------------------------------
-
-def test_q_exponential_of_odd_coordinate_truncates_exactly():
-    gens = build_quantum(build_root_data(1, 0))
-    cs = gens.cs
-    X = build_xminus(gens, 1, 2)
-    e1 = q_exponential(cs, (1, 2), X, 1)
-    e5 = q_exponential(cs, (1, 2), X, 5)
-    assert op_eq_on_basis(e1, e5, 3)[0]
-
-
-def test_q_exponential_second_order_coefficient():
-    gens = build_quantum(build_root_data(2, 0))
-    cs = gens.cs
-    X = OpExpr.term(cs, (("D", cs.pos[(1, 1)]),))
-    ex = q_exponential(cs, (1, 1), X, 2)
-    expect = OpExpr.identity(cs) \
-        + (OpExpr.term(cs, (("x", cs.pos[(1, 1)]),)) @ X) \
-        + (OpExpr.term(cs, (("x", cs.pos[(1, 1)]),)).power(2)
-           @ X.power(2)).scale(ONE / qnum(2))
-    assert op_eq_on_basis(ex, expect, 3)[0]
-    with pytest.raises(ValueError):
-        q_exponential(cs, (1, 1), X, -1)
-
-
-# ---------------------------------------------------------------------------
 # the two quantum variants and the classical limit
 # ---------------------------------------------------------------------------
 
@@ -256,3 +229,4 @@ def test_prop2_and_prop3_are_one_construction(monkeypatch):
         report = check_linform_identities(build_root_data(M, N))
         assert report["I43"]["failures"] and report["I44"]["failures"]
         assert not _same_structure(*_variant_pair(M, N)), (M, N)
+

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qsuperalg.scalars import (RingElem, NonPolynomialLimit, ZERO, ONE,
-                               Q_MINUS_QINV, qpow, qnum, qfactorial)
+                               Q_MINUS_QINV, qpow, qnum)
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,14 @@ def test_qnum_marker_addition_law():
 
 
 def test_qfactorial():
-    assert qfactorial(0) == ONE
-    assert qfactorial(1) == ONE
-    assert qfactorial(2) == qnum(2)
-    assert qfactorial(3) == qnum(2) * qnum(3)
-    assert qfactorial(3).render() == "q^{3} + 2 q^{1} + 2 q^{-1} + q^{-3}"
+    # [n]! = [1][2]...[n] as a product of q-numbers
+    fact = [ONE]
+    for n in range(1, 4):
+        fact.append(fact[-1] * qnum(n))
+    assert fact[1] == ONE
+    assert fact[2] == qnum(2)
+    assert fact[3] == qnum(2) * qnum(3)
+    assert fact[3].render() == "q^{3} + 2 q^{1} + 2 q^{-1} + q^{-3}"
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +176,14 @@ def test_division_by_marker_bearing_element_is_rejected():
 
 
 def test_value_equality_ignores_unreduced_denominators():
-    # 1/[2] * [2] keeps a (q^2+1)/(q^2+1) representation but equals one
-    v = (ONE / qnum(2)) * qnum(2)
-    assert v == ONE
-    assert v.is_one()
+    # (x s^2)/s^2 passes through a (q - q^-1)^2 denominator but equals x
+    s = Q_MINUS_QINV
+    for x in (ONE, qnum(2), qnum(3, {1: 1}) / s, qpow(-1, {2: 1}) + ONE):
+        assert (x * s ** 2) / s ** 2 == x
+    assert ((ONE * s ** 2) / s ** 2).is_one()
+    # only c q^a (q - q^-1)^j is a divisor
+    with pytest.raises(ValueError):
+        ONE / qnum(2)
 
 
 def _laurent(terms):
@@ -191,18 +198,24 @@ _NUMER = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.sampled_from(((), ((1, 1),),
                                                    ((1, -1), (2, 2))))),
     _COEFF, max_size=4)
-_DENOM = st.dictionaries(st.tuples(st.integers(-3, 3), st.just(())),
-                         _COEFF, min_size=1, max_size=3)
+# a divisor c q^a (q - q^-1)^j, drawn as (c, a, j)
+_DIVISOR = st.tuples(_COEFF, st.integers(-3, 3), st.integers(0, 3))
 
 
-@given(_NUMER, _DENOM, _DENOM)
-@example({(0, ()): 1}, {(1, ()): 1, (0, ()): 1}, {(0, ()): 1})
-@example({(0, ()): 1}, {(1, ()): 1, (0, ()): -1}, {(1, ()): 1, (0, ()): 1})
+def _divisor(c, a, j):
+    return RingElem.monomial(a, None, c) * Q_MINUS_QINV ** j
+
+
+@given(_NUMER, _DIVISOR, _DIVISOR)
+@example({(0, ()): 1}, (1, 0, 1), (1, 0, 0))
+@example({(1, ((1, 1),)): 1, (-1, ((1, -1), (2, 2))): -1}, (2, 1, 2),
+         (-1, 0, 1))
 @settings(max_examples=200)
 def test_hash_agrees_with_eq(a, f, g):
-    # (a f)/(g f) == a/g; the examples are (q+1)/(q+1) == 1 and
-    # (q-1)/(q^2-1) == 1/(q+1), kept in different representations
-    a, f, g = _laurent(a), _laurent(f), _laurent(g)
+    # (a f)/(g f) == a/g: x passes through a larger numerator and
+    # denominator than y; the examples are s/s == 1 and a marker-bearing
+    # numerator over (q - q^-1)^3 against the same over (q - q^-1)
+    a, f, g = _laurent(a), _divisor(*f), _divisor(*g)
     x, y = (a * f) / (g * f), a / g
     assert x == y
     assert hash(x) == hash(y)
@@ -238,8 +251,9 @@ def test_eval_q1_cancels_removable_singularity():
 # ---------------------------------------------------------------------------
 
 def test_product_with_one_is_the_other_factor():
-    general = RingElem({(1, ()): 1, (0, ((1, 1),)): 2}, {1: 1, 0: 1})
-    for x in (qnum(3) / Q_MINUS_QINV, qpow(2, {1: -1}), general,
+    marker_k2 = (qpow(1) + RingElem.monomial(0, {1: 1}, 2)) / Q_MINUS_QINV ** 2
+    assert marker_k2.denom_pow == 2
+    for x in (qnum(3) / Q_MINUS_QINV, qpow(2, {1: -1}), marker_k2,
               RingElem.from_rational(Fraction(2, 3))):
         for y in (x * ONE, RingElem.from_rational(1) * x):
             assert y is x
@@ -250,6 +264,127 @@ def test_product_with_one_is_the_other_factor():
 def test_is_one_with_and_without_a_denominator():
     assert ONE.is_one() and RingElem.from_rational(1).is_one()
     assert not qpow(1).is_one() and not ZERO.is_one()
-    q_plus_1 = RingElem({(1, ()): 1, (0, ()): 1})
-    assert (q_plus_1 / q_plus_1).is_one()
-    assert not (ONE / q_plus_1).is_one()
+    assert (Q_MINUS_QINV / Q_MINUS_QINV).is_one()
+    assert not (ONE / Q_MINUS_QINV).is_one()
+    q_plus_1 = qpow(1) + ONE
+    with pytest.raises(ValueError):
+        ONE / q_plus_1
+
+
+# ---------------------------------------------------------------------------
+# exact oracle: evaluation at rational points
+# ---------------------------------------------------------------------------
+
+# q = 2 with (Q1, Q2) = (3, 5/7), and q = 3/2 with (Q1, Q2) = (2, 1/3)
+_POINTS = ((Fraction(2), {1: Fraction(3), 2: Fraction(5, 7)}),
+           (Fraction(3, 2), {1: Fraction(2), 2: Fraction(1, 3)}))
+
+
+def _value(x, q, Q):
+    """x at a point, read from the num and denom_pow views alone."""
+    total = Fraction(0)
+    for (qe, wk), c in x.num.items():
+        term = c * q ** qe
+        for i, e in wk:
+            term *= Q[i] ** e
+        total += term
+    return total / (q * q - 1) ** x.denom_pow
+
+
+def _is_canonical(x):
+    """(q^2 - 1) does not divide num when k > 0: some marker group of num
+    is nonzero at q = 1 or at q = -1."""
+    if not x.denom_pow:
+        return True
+    at = {}
+    for (qe, wk), c in x.num.items():
+        s1, sm1 = at.get(wk, (0, 0))
+        at[wk] = (s1 + c, sm1 + c * (-1) ** qe)
+    return any(s1 for s1, _ in at.values()) \
+        or any(sm1 for _, sm1 in at.values())
+
+
+_Q_MINUS_1 = qpow(1) - ONE
+_Q_PLUS_1 = qpow(1) + ONE
+
+# num * (q - 1)^a * (q + 1)^b / (q - q^-1)^j, drawn as (num, a, b, j), so
+# that numerators vanish at q = 1, at q = -1, at both or at neither
+_ELEM = st.tuples(_NUMER, st.integers(0, 2), st.integers(0, 2),
+                  st.integers(0, 3))
+
+
+def _elem(num, a, b, j):
+    return _laurent(num) * _Q_MINUS_1 ** a * _Q_PLUS_1 ** b \
+        / Q_MINUS_QINV ** j
+
+
+def _same(x, y):
+    return (x.num == y.num and x.denom_pow == y.denom_pow
+            and hash(x) == hash(y))
+
+
+@given(_ELEM, _ELEM, _ELEM, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_exact_evaluation(a, b, c, j):
+    a, b, c = _elem(*a), _elem(*b), _elem(*c)
+    s = Q_MINUS_QINV ** j
+    for q, Q in _POINTS:
+        va, vb, sv = _value(a, q, Q), _value(b, q, Q), _value(s, q, Q)
+        assert _value(a + b, q, Q) == va + vb
+        assert _value(a - b, q, Q) == va - vb
+        assert _value(a * b, q, Q) == va * vb
+        assert _value(a / s, q, Q) == va / sv
+    for x in (a, b, a + b, a - b, a * b, a / s, a * b * c):
+        assert _is_canonical(x)
+    # equal values built along different paths have one (num, k) and hash
+    assert _same((a + b) + c, a + (b + c))
+    assert _same(a * (b + c), a * b + a * c)
+    assert _same((a * b) / s, a * (b / s))
+    assert _same(a + (c - a), c)
+    assert _same((a * s) / s, a)
+
+
+def test_sums_that_cancel_a_denominator():
+    # (q^2 - 1)/(q - q^-1)^2 = q^2/(q^2 - 1): two terms over k = 2 leave k = 1
+    x = qpow(2) / Q_MINUS_QINV ** 2
+    y = -ONE / Q_MINUS_QINV ** 2
+    assert (x + y).denom_pow == 1
+    assert (x + y) == qpow(1) / Q_MINUS_QINV
+    # a product whose factors vanish at q = 1 and at q = -1 respectively
+    lo = _Q_MINUS_1 / Q_MINUS_QINV
+    hi = _Q_PLUS_1 / Q_MINUS_QINV
+    assert lo.denom_pow == hi.denom_pow == 1
+    assert lo * hi == qpow(1) / Q_MINUS_QINV
+    assert (lo * hi).denom_pow == 1
+
+
+def test_exponents_past_the_packed_field_raise():
+    from qsuperalg.scalars import LIMIT
+    with pytest.raises(OverflowError):
+        qpow(LIMIT + 1)
+    with pytest.raises(OverflowError):
+        qpow(0, {2: -LIMIT - 1})
+    with pytest.raises(OverflowError):
+        qpow(LIMIT) * qpow(1)
+    with pytest.raises(OverflowError):
+        qpow(0, {1: LIMIT}) * qpow(0, {1: 1, 2: -1})
+    with pytest.raises(OverflowError):
+        qpow(LIMIT) / Q_MINUS_QINV
+    # a loose bound is checked against the exact exponents before raising
+    loose = qpow(1) + (qpow(LIMIT) - qpow(LIMIT))
+    assert loose * qpow(LIMIT - 1) == qpow(LIMIT)
+
+
+def test_eval_q1_gives_the_limit_at_a_removable_singularity():
+    # (q - 1)/(q - q^-1) = q/(q + 1) -> 1/2, though q^2 - 1 stays below
+    v = _Q_MINUS_1 / Q_MINUS_QINV
+    assert v.denom_pow == 1
+    assert v.eval_q1() == Fraction(1, 2)
+    assert (v * v).eval_q1() == Fraction(1, 4)
+    assert ((qpow(2) - ONE) * _Q_MINUS_1 / Q_MINUS_QINV ** 2).eval_q1() \
+        == Fraction(1, 2)
+    # genuine poles still raise, whatever their order
+    for pole in (ONE / Q_MINUS_QINV, v / Q_MINUS_QINV,
+                 (qpow(1) + ONE) / Q_MINUS_QINV ** 3):
+        with pytest.raises(NonPolynomialLimit):
+            pole.eval_q1()
