@@ -295,7 +295,10 @@ def check_linform_identities(data):
 
     for i in range(1, data.K + 1):
         record("I43", "i=%d" % i, _i43(data, cs, i))
-        record("I44", "i=%d" % i, _i44(data, cs, i, i + 1))
+        # f_i reads I44 at m_from = i+1 and, in eta(i,j), at every j+1 > i+1
+        for m_from in range(i + 1, data.K + 2):
+            record("I44", "i=%d,m=%d" % (i, m_from),
+                   _i44(data, cs, i, m_from))
     for i, j in itertools.product(range(1, data.K + 1), repeat=2):
         label = "i=%d,j=%d" % (i, j)
         if j < i:

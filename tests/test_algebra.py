@@ -230,3 +230,21 @@ def test_prop2_and_prop3_are_one_construction(monkeypatch):
         assert report["I43"]["failures"] and report["I44"]["failures"]
         assert not _same_structure(*_variant_pair(M, N)), (M, N)
 
+
+def test_identities_check_i44_at_every_m_from_a_builder_reads(monkeypatch):
+    # eta(i,j) reads I44 at m_from = j+1 > i+1; a wrong reduced side there
+    # must make the check fail, not only the golden generator listings
+    i44 = algebra._i44
+
+    def shifted(data, cs, i, m_from):
+        tri, red = i44(data, cs, i, m_from)
+        return tri, (red.shift(1) if m_from > i + 1 else red)
+
+    monkeypatch.setattr(algebra, "_i44", shifted)
+    report = check_linform_identities(build_root_data(3, 3))
+    failures = report["I44"]["failures"]
+    assert "i=1,m=3" in failures
+    # the instances at m_from = i+1, which the check read before, still pass
+    for label in failures:
+        i, m_from = (int(part.split("=")[1]) for part in label.split(","))
+        assert m_from > i + 1
