@@ -231,7 +231,7 @@ def test_prop2_and_prop3_are_one_construction(monkeypatch):
         assert not _same_structure(*_variant_pair(M, N)), (M, N)
 
 
-def test_identities_check_i44_at_every_m_from_a_builder_reads(monkeypatch):
+def test_identities_check_i44_at_every_m_from_eta_reads(monkeypatch):
     # eta(i,j) reads I44 at m_from = j+1 > i+1; a wrong reduced side there
     # must make the check fail, not only the golden generator listings
     i44 = algebra._i44
