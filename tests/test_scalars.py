@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qsuperalg.scalars import (RingElem, NonPolynomialLimit, ZERO, ONE,
-                               Q_MINUS_QINV, qpow, qnum)
+                               Q_MINUS_QINV, LIMIT, qpow, qnum)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +359,6 @@ def test_sums_that_cancel_a_denominator():
 
 
 def test_exponents_past_the_packed_field_raise():
-    from qsuperalg.scalars import LIMIT
     with pytest.raises(OverflowError):
         qpow(LIMIT + 1)
     with pytest.raises(OverflowError):
