@@ -102,8 +102,8 @@ class GeneratorSet:
 def _weight_form(i, weights):
     """The (alpha_i|weight) contribution as a LinForm tail."""
     if weights is None:
-        return LinForm(None, 0, {i: 1})
-    return LinForm(None, weights[i - 1], None)
+        return LinForm(None, 0, ((i, 1),))
+    return LinForm(None, weights[i - 1])
 
 
 def _m(cs, l, m, c=1):

@@ -30,11 +30,20 @@ class GrammarError(ValueError):
     pass
 
 
+def _position(cs, l, m):
+    """The chart position of the coordinate (l, m), from their digits."""
+    try:
+        return cs.pos[(int(l), int(m))]
+    except KeyError:
+        raise GrammarError("no coordinate (%s,%s) for M=%d N=%d"
+                           % (l, m, cs.M, cs.N)) from None
+
+
 def parse_linform(text, cs):
     text = text.strip()
     if text == "0":
         return LinForm()
-    coeffs, lam, const = {}, {}, 0
+    coeffs, lam, const = {}, [], 0
     pos = 0
     for m in _LIN_TOKEN.finditer(text):
         if m.start() != pos:
@@ -43,11 +52,13 @@ def parse_linform(text, cs):
         sign = -1 if m.group(1) == "-" else 1
         mag = int(m.group(2)) if m.group(2) else 1
         if m.group(3):  # M(l,m)
-            p = cs.pos[(int(m.group(3)), int(m.group(4)))]
+            p = _position(cs, m.group(3), m.group(4))
             coeffs[p] = coeffs.get(p, 0) + sign * mag
         elif m.group(5):  # L(i)
             i = int(m.group(5))
-            lam[i] = lam.get(i, 0) + sign * mag
+            if i < 1:
+                raise GrammarError("weights are numbered from 1: %r" % text)
+            lam.append((i, sign * mag))
         else:  # bare integer
             const += sign * int(m.group(6))
     if pos != len(text):
@@ -78,7 +89,7 @@ def parse_opexpr(text, cs):
                 raise GrammarError("bad factor at %r" % part[pos:])
             pos = m.end()
             if m.group(1):
-                ops.append((m.group(1), cs.pos[(int(m.group(2)), int(m.group(3)))]))
+                ops.append((m.group(1), _position(cs, m.group(2), m.group(3))))
             elif m.group(4) is not None:
                 ops.append(("qpow", parse_linform(m.group(4), cs)))
             elif m.group(5) is not None:

@@ -30,7 +30,7 @@ outlives its probe.
 
 from __future__ import annotations
 
-from .scalars import ONE, MINUS_ONE, qpow, qnum, lin, _qnum_int, _int_elem
+from .scalars import ONE, MINUS_ONE, qpow, qnum, lin
 from . import superpoly as sp
 
 
@@ -46,25 +46,27 @@ class LinForm:
     """Integer linear form in the number operators M(l,m), the weights and 1.
 
     ``coeffs`` maps coordinate positions to integers, ``const`` is the
-    integer part, ``lam`` maps weight indices to integer multiples of the
-    corresponding weight.
+    integer part.  ``lam`` holds the integer multiple of each weight as
+    sorted (weight index, multiple) pairs without zeros, the marker pairs
+    ``qpow``, ``qnum`` and ``lin`` take; it is given as a mapping or as
+    pairs, whose repeated indices add.
     """
 
     __slots__ = ("coeffs", "const", "lam")
 
-    def __init__(self, coeffs=None, const=0, lam=None):
+    def __init__(self, coeffs=None, const=0, lam=()):
         self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
         self.const = const
-        self.lam = {i: c for i, c in (lam or {}).items() if c}
+        la = {}
+        for i, c in (lam.items() if isinstance(lam, dict) else lam):
+            la[i] = la.get(i, 0) + c
+        self.lam = tuple(sorted((i, c) for i, c in la.items() if c))
 
     def __add__(self, other):
         co = dict(self.coeffs)
         for p, c in other.coeffs.items():
             co[p] = co.get(p, 0) + c
-        la = dict(self.lam)
-        for i, c in other.lam.items():
-            la[i] = la.get(i, 0) + c
-        return LinForm(co, self.const + other.const, la)
+        return LinForm(co, self.const + other.const, self.lam + other.lam)
 
     def __neg__(self):
         return self.scale(-1)
@@ -74,7 +76,7 @@ class LinForm:
 
     def scale(self, k):
         return LinForm({p: k * c for p, c in self.coeffs.items()},
-                       k * self.const, {i: k * c for i, c in self.lam.items()})
+                       k * self.const, tuple((i, k * c) for i, c in self.lam))
 
     def shift(self, n):
         return LinForm(self.coeffs, self.const + n, self.lam)
@@ -104,8 +106,8 @@ class LinForm:
             c = self.coeffs[p]
             l, m = cs.coords[p]
             parts.append((c, "M(%d,%d)" % (l, m)))
-        for i in sorted(self.lam):
-            parts.append((self.lam[i], "L(%d)" % i))
+        for i, c in self.lam:
+            parts.append((c, "L(%d)" % i))
         if self.const:
             parts.append((self.const, None))
         if not parts:
@@ -336,6 +338,11 @@ def _steps(ops):
                  for s in steps) or ((),)
 
 
+# the scalar each elementary operator multiplies in: an even derivative's
+# factor on exponent n, or the value of a factor's linear form
+_FACTOR = {"D": qnum, "d": lin, "qpow": qpow, "qnum": qnum, "lin": lin}
+
+
 def _run(cs, ops, m, c):
     """Thread (monomial, coefficient) through elementary ops in acting order.
 
@@ -364,20 +371,11 @@ def _run(cs, ops, m, c):
                 n = sp.mono_exp(m, pos)
                 if n == 0:
                     return None
-                c = c * (_qnum_int(n) if kind == "D" else _int_elem(n))
+                c = c * _FACTOR[kind](n)
                 m = sp.mono_dec(m, pos)
-        elif kind == "qpow":
+        else:  # a linear form's q-power, q-number or classical value
             lf = op[1]
-            c = c * qpow(lf.eval_const(m), lf.lam)
-        elif kind == "qnum":
-            lf = op[1]
-            s = qnum(lf.eval_const(m), lf.lam)
-            if s.is_zero():
-                return None
-            c = c * s
-        else:  # 'lin': value is linear in the weight symbols
-            lf = op[1]
-            s = lin(lf.eval_const(m), lf.lam)
+            s = _FACTOR[kind](lf.eval_const(m), lf.lam)
             if s.is_zero():
                 return None
             c = c * s

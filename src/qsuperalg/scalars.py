@@ -48,14 +48,16 @@ class NonPolynomialLimit(Exception):
 # ---------------------------------------------------------------------------
 
 def _pack(qexp, weights):
-    """The packed key of q^qexp prod Qi^weights[i], and its largest |e|."""
-    key, bound = qexp, abs(qexp)
+    """The packed key of q^qexp prod Qi^e over the (i, e) pairs of
+    ``weights``, and its largest |exponent|; a repeated marker's exponents
+    add."""
+    digits = {0: qexp}
     for i, e in weights:
         if i < 1:
             raise ValueError("weight markers are numbered from 1")
-        key += e << (_W * i)
-        bound = max(bound, abs(e))
-    return key, _fit(bound)
+        digits[i] = digits.get(i, 0) + e
+    return (sum(e << (_W * i) for i, e in digits.items()),
+            _fit(max(map(abs, digits.values()))))
 
 
 def _fit(bound):
@@ -173,11 +175,13 @@ class RingElem:
         return RingElem({0: c}, 0, 0, 0) if c else ZERO
 
     @staticmethod
-    def monomial(qexp=0, weights=None, coeff=1):
-        """The single monomial coeff * q^qexp * prod Qi^weights[i]."""
+    def monomial(qexp=0, weights=(), coeff=1):
+        """The single monomial coeff * q^qexp * prod Qi^e over the (i, e)
+        pairs of ``weights``, marker indices i >= 1.  Order, zero exponents
+        and repeated markers (whose exponents add) do not change it."""
         if not coeff:
             return ZERO
-        key, bound = _pack(qexp, sorted((weights or {}).items()))
+        key, bound = _pack(qexp, weights)
         return RingElem({key: _rational(coeff)}, 0, bound, 0)
 
     @property
@@ -393,56 +397,35 @@ Q_MINUS_QINV = RingElem({1: 1, -1: -1}, 0, 1, 3)
 
 # ---------------------------------------------------------------------------
 # q-powers and q-numbers of affine forms  c0 + sum_i d_i * lambda_i
+#
+# ``lam`` is a tuple of (marker index i >= 1, multiple d_i) pairs, the form
+# that ``LinForm.lam`` stores sorted and without zeros.  Order, zero
+# multiples and repeated markers (whose multiples add) do not change the
+# value, only the cache entry.
 # ---------------------------------------------------------------------------
 
-def _lam_key(lam):
-    return tuple(sorted((i, e) for i, e in lam.items() if e)) if lam else ()
-
-
-def qpow(const, lam=None):
-    """q^{const} * prod Qi^{lam[i]}, a single monomial."""
-    return _qpow_cached(const, _lam_key(lam))
+@lru_cache(maxsize=None)
+def qpow(const, lam=()):
+    """q^{const} * prod Qi^{d_i}, a single monomial."""
+    return RingElem.monomial(const, lam)
 
 
 @lru_cache(maxsize=None)
-def _qpow_cached(const, lam_key):
-    return RingElem.monomial(const, dict(lam_key))
-
-
-@lru_cache(maxsize=None)
-def _qnum_int(n):
-    # [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}, odd in n
-    if n <= 0:
-        return -_qnum_int(-n) if n else ZERO
-    return RingElem({n - 1 - 2 * j: 1 for j in range(n)}, 0, _fit(n - 1))
-
-
-@lru_cache(maxsize=None)
-def _int_elem(n):
-    """The integer n as a scalar (the classical derivative's factor)."""
-    return RingElem.from_rational(n)
-
-
-def qnum(const, lam=None):
-    """[const + sum lam_i], the symmetric q-number of an affine form."""
-    key = _lam_key(lam)
-    return _qnum_cached(const, key) if key else _qnum_int(const)
-
-
-@lru_cache(maxsize=None)
-def _qnum_cached(const, lam_key):
+def qnum(const, lam=()):
+    """[const + sum d_i lambda_i], the symmetric q-number of an affine form."""
+    key, bound = _pack(const, lam)
+    if not (key + _H) >> _W:
+        # marker-free [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}, odd in n
+        if key <= 0:
+            return -qnum(-key) if key else ZERO
+        return RingElem({key - 1 - 2 * j: 1 for j in range(key)}, 0, key - 1)
     # (q^c Q - q^-c Q^-1)/(q - q^-1) = (q^{c+1} Q - q^{1-c} Q^-1)/(q^2 - 1)
-    key, bound = _pack(const, lam_key)
     return _canonical({key + 1: 1, 1 - key: -1}, 1, _fit(bound + 1), None)
 
 
-def lin(const, lam=None):
-    """const + sum lam_i Qi: an affine form's value with its markers read
-    classically, as the weights themselves."""
-    return _lin_cached(const, _lam_key(lam))
-
-
 @lru_cache(maxsize=None)
-def _lin_cached(const, lam_key):
-    return sum((RingElem.monomial(0, {i: 1}, c) for i, c in lam_key),
+def lin(const, lam=()):
+    """const + sum d_i Qi: an affine form's value with its markers read
+    classically, as the weights themselves."""
+    return sum((RingElem.monomial(0, ((i, 1),), d) for i, d in lam),
                RingElem.from_rational(const))

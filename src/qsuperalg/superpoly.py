@@ -147,10 +147,6 @@ def mono_render(cs, mono):
 # polynomials: dict monomial -> RingElem, no zero coefficients stored
 # ---------------------------------------------------------------------------
 
-def poly_zero():
-    return {}
-
-
 def poly_one():
     return {MONO_ONE: ONE}
 
@@ -169,13 +165,6 @@ def poly_add_term(poly, mono, coeff):
             poly[mono] = s
 
 
-def poly_add(a, b):
-    out = dict(a)
-    for mono, c in b.items():
-        poly_add_term(out, mono, c)
-    return out
-
-
 def poly_scale(a, c):
     if c.is_zero():
         return {}
@@ -187,10 +176,6 @@ def poly_sub(a, b):
     for mono, c in b.items():
         poly_add_term(out, mono, -c)
     return out
-
-
-def poly_is_zero(a):
-    return not a
 
 
 def poly_eq(a, b):

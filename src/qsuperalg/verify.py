@@ -364,7 +364,7 @@ def check_highest_weight(gens):
         img = gens.t[i].apply(one)
         if gens.weights is None:
             # the marker Qi: q^{lambda_i}, or lambda_i classically
-            expect = RingElem.monomial(0, {i: 1})
+            expect = RingElem.monomial(0, ((i, 1),))
         else:
             expect = d.eig(gens.weights[i - 1])
         want = sp.poly_scale(one, expect)

@@ -180,7 +180,7 @@ def test_highest_weight_vector():
         for i in range(1, gens.data.K + 1):
             assert gens.e[i].apply(one) == {}
             assert poly_eq(gens.t[i].apply(one),
-                           {MONO_ONE: qpow(0, {i: 1})})
+                           {MONO_ONE: qpow(0, ((i, 1),))})
 
 
 # ---------------------------------------------------------------------------

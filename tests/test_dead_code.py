@@ -1,6 +1,7 @@
 """No code that nothing calls: every top-level function and class of the
 package, and every method that is not a dunder, is referenced by name
-somewhere in the package or its tests."""
+somewhere in the package or its tests.  And no package module reaches
+into another for a ``_``-prefixed name."""
 
 import ast
 import os
@@ -50,3 +51,24 @@ def test_every_definition_is_referenced():
             refs.update(_references(tree))
     assert defs
     assert [q for q, bare in defs if bare not in refs] == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for name, tree in _trees(PACKAGE):
+        # local names bound to sibling modules, as in ``from . import x as y``
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.append("%s: from .%s import %s"
+                                     % (name, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings):
+                found.append("%s: %s.%s" % (name, node.value.id, node.attr))
+    assert found == []

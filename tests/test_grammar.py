@@ -33,6 +33,16 @@ def test_parse_opexpr_rejects_junk():
         parse_opexpr("x(1,1) nonsense", CS)
 
 
+@pytest.mark.parametrize("text", [
+    "x(9,9)", "D(2,1)", "q^{M(3,3)}", "[M(1,1)+M(0,1)]", "q^{L(0)}",
+    "{-2L(0)+1}",
+])
+def test_parse_opexpr_rejects_coordinates_and_markers_off_the_chart(text):
+    # (1,0) has the coordinates (1,1), (1,2) and (2,2); markers start at L(1)
+    with pytest.raises(GrammarError):
+        parse_opexpr(text, CS)
+
+
 def test_linform_render_parse_round_trip():
     forms = [LinForm({0: -2, 1: 3}, 5, {1: -1, 2: 2}),
              LinForm(None, -7),

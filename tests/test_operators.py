@@ -228,7 +228,7 @@ def _elementary(cs):
             + [(kind, lf) for kind in ("qpow", "qnum", "lin") for lf in lfs])
 
 
-_SCALARS = (MINUS_ONE, qpow(1), qnum(2), qpow(-1, {1: 1}),
+_SCALARS = (MINUS_ONE, qpow(1), qnum(2), qpow(-1, ((1, 1),)),
             RingElem.from_rational(Fraction(1, 2)), ONE / Q_MINUS_QINV)
 
 
@@ -340,7 +340,7 @@ def _shared_node_operators(gens):
 def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
     gens = build_quantum(build_root_data(*MN))
     # a (q - q^-1) denominator and the weight marker Q1
-    coeff = RingElem.monomial(1, {1: 1}) * (ONE / Q_MINUS_QINV)
+    coeff = RingElem.monomial(1, ((1, 1),)) * (ONE / Q_MINUS_QINV)
     for name, op in _shared_node_operators(gens).items():
         fresh = _unshared(op)
         for mono in basis_monomials(gens.cs, 3):

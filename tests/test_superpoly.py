@@ -8,9 +8,8 @@ from qsuperalg.scalars import ONE, MINUS_ONE, qpow
 from qsuperalg.superpoly import (CoordSystem, coord_parity, MONO_ONE,
                                  mono_degree, mono_exp, mono_dec,
                                  mul_coord, grassmann_remove, mono_render,
-                                 poly_zero, poly_one, poly_add, poly_sub,
-                                 poly_scale, poly_add_term, poly_eq,
-                                 poly_is_zero, poly_render)
+                                 poly_one, poly_sub, poly_scale,
+                                 poly_add_term, poly_eq, poly_render)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +135,12 @@ def test_mono_render():
 def test_poly_addition_and_cancellation():
     p = poly_one()
     q = poly_scale(poly_one(), MINUS_ONE)
-    assert poly_is_zero(poly_add(p, q))
-    assert poly_eq(poly_sub(p, poly_zero()), p)
+    s = dict(p)
+    for mono, c in q.items():
+        poly_add_term(s, mono, c)
+    assert s == {}
+    assert poly_sub(p, poly_scale(q, MINUS_ONE)) == {}
+    assert poly_eq(poly_sub(p, {}), p)
 
 
 def test_poly_add_term_drops_zeros():
