@@ -271,11 +271,28 @@ def build_xminus(gens, l, m):
     """
     if not (1 <= l <= m <= gens.data.K):
         raise IndexError("need 1 <= l <= m <= %d" % gens.data.K)
+    return next(itertools.islice(_xminus_chain(gens, l), m - l, None))
+
+
+def root_vectors(gens):
+    """Every root vector X(l,m) of the generator set, keyed by (l, m).
+
+    Each X(l,m) is the bracket of build_xminus taken on the table's own
+    X(l,m-1), so one node object stands for X(l,m-1) in all of them and a
+    probe's memo evaluates it once per monomial.
+    """
+    return {(l, m): x for l in range(1, gens.data.K + 1)
+            for m, x in enumerate(_xminus_chain(gens, l), l)}
+
+
+def _xminus_chain(gens, l):
+    """X(l,l) = f_l, X(l,l+1), ..., X(l,K), each bracketed onto the last."""
     x = gens.f[l]
-    for k in range(l + 1, m + 1):
+    yield x
+    for k in range(l + 1, gens.data.K + 1):
         xi = qpow(-gens.data.nu[k]) if gens.quantum else None
         x = graded_commutator(gens.f[k], x, xi)
-    return x
+        yield x
 
 
 def check_linform_identities(data):

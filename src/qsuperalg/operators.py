@@ -18,14 +18,16 @@ were written, and equality of operators is extensional (action on a
 degree-bounded monomial basis).
 
 The same nested node (a root vector, its powers, a generator inside every
-bracket) is reached many times with the same monomial.  Evaluation
+bracket) is reached many times with the same monomial, within one
+operator and across every instance of a relation suite.  Evaluation
 therefore keeps a memo of each nested factor's image of a monomial with
 coefficient 1, keyed by (node, monomial), and scales that image by the
 incoming coefficient on every later visit.  The memo lives for one
-basis-monomial probe: ``op_eq_on_basis`` opens a fresh one for each basis
-monomial and shares it between the two sides, ``apply`` opens one per
-input monomial, and it is dropped once that monomial is done, so no image
-outlives its probe.
+basis-monomial probe: ``first_failure``, the one probe loop, takes the
+basis monomial as its outer loop, opens a fresh memo for each monomial,
+shares it between both sides of every pair still being checked, and drops
+it once that monomial is done, so no image outlives its probe.  ``apply``
+opens one per input monomial.
 """
 
 from __future__ import annotations
@@ -414,20 +416,46 @@ def _monos_of_degree(cs, pos, remaining, acc):
         yield from _monos_of_degree(cs, pos + 1, remaining - e, tail)
 
 
+def first_failure(pairs, degree):
+    """The first failing (lhs, rhs) pair on the monomials of degree <= degree.
+
+    Returns None when every pair agrees on every basis monomial, else
+    (k, monomial, residual): k indexes the first failing pair, the
+    monomial is its first failing one in canonical order and the residual
+    is lhs - rhs there.  This is the witness checking the pairs one after
+    another gives, but the basis monomial is the outer loop: each monomial
+    is one probe with one memo, shared by every pair still being checked
+    and dropped with the probe.  A failure of pair k stops the checks of
+    pairs >= k; pairs before k go on to later monomials, where a failure
+    replaces the witness, so pairs after the first failing one have been
+    probed on every monomial up to its failure.
+    """
+    if not pairs:
+        return None
+    cs = pairs[0][0].cs
+    for a, b in pairs:
+        pairs[0][0]._check(a)
+        a._check(b)
+    live, found = len(pairs), None
+    for mono in basis_monomials(cs, degree):
+        memo = {}
+        for k in range(live):
+            a, b = pairs[k]
+            diff = sp.poly_sub(a.apply_monomial(mono, ONE, memo),
+                               b.apply_monomial(mono, ONE, memo))
+            if diff:
+                live, found = k, (k, mono, diff)
+                break
+        if not live:
+            break
+    return found
+
+
 def op_eq_on_basis(a, b, degree):
     """Extensional equality on all monomials of degree <= degree.
 
     Returns (True, None) or (False, (monomial, residual polynomial)),
     the witness being the first failing monomial in canonical order.
     """
-    a._check(b)
-    for mono in basis_monomials(a.cs, degree):
-        # one memo per probe, shared by both sides and dropped with it
-        memo = {}
-        pa = a.apply_monomial(mono, ONE, memo)
-        pb = b.apply_monomial(mono, ONE, memo)
-        diff = sp.poly_sub(pa, pb)
-        if diff:
-            return False, (mono, diff)
-    return True, None
-
+    found = first_failure(((a, b),), degree)
+    return (True, None) if found is None else (False, found[1:])

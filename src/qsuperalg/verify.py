@@ -5,6 +5,15 @@ Every check is exact: a suite passes only when the residual operator
 annihilates every basis monomial of total degree up to the bound.  On
 failure the first failing monomial (in the canonical graded order) and
 the full residual polynomial are recorded as a witness.
+
+A suite is checked one basis monomial at a time (``operators.first_failure``):
+each monomial is one probe, every instance still being checked is applied
+to it in order, and one image memo is shared by all of them and dropped
+after the probe.  A root vector that several instances contain is thus
+evaluated once per monomial, not once per instance.  The suites read the
+root vectors from one table (``algebra.root_vectors``), whose X(l,m) is
+built on the very X(l,m-1) node, so these shared nodes are the same
+objects.
 """
 
 from __future__ import annotations
@@ -15,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .scalars import RingElem, qpow, qnum
 from . import superpoly as sp
-from .operators import LinForm, OpExpr, graded_commutator, op_eq_on_basis
-from .algebra import build_root_data, build_generators, build_xminus
+from .operators import LinForm, OpExpr, graded_commutator, first_failure
+from .algebra import build_root_data, build_generators, root_vectors
 
 
 @dataclass
@@ -145,23 +154,24 @@ def _result(tag, t0, instances, witness):
 def _run(tag, degree, instances):
     """Check each (label, lhs, rhs) instance of one relation family.
 
-    Every instance is counted; after the first failure the rest are not
-    checked, so the witness is the first failing monomial of the first
-    failing instance.
+    Every instance is counted.  The basis monomial is the outer loop: one
+    memo per probe is shared by every instance still being checked and
+    dropped after it.  The witness is the first failing monomial of the
+    first failing instance, as checking the instances one after another
+    would give; on the way, instances after the failing one have been
+    probed on every monomial up to its failure.
     """
     t0 = time.monotonic()
-    count, witness = 0, None
-    for label, lhs, rhs in instances:
-        count += 1
-        if witness is not None:
-            continue
-        ok, wit = op_eq_on_basis(lhs, rhs, degree)
-        if not ok:
-            mono, residual = wit
-            witness = "%s at monomial %s: residual %s" % (
-                label, sp.mono_render(lhs.cs, mono),
-                sp.poly_render(lhs.cs, residual))
-    return _result(tag, t0, count, witness)
+    instances = list(instances)
+    found = first_failure([(lhs, rhs) for _, lhs, rhs in instances], degree)
+    witness = None
+    if found is not None:
+        k, mono, residual = found
+        label, lhs, _ = instances[k]
+        witness = "%s at monomial %s: residual %s" % (
+            label, sp.mono_render(lhs.cs, mono),
+            sp.poly_render(lhs.cs, residual))
+    return _result(tag, t0, len(instances), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +250,7 @@ def check_aux(gens, degree, nmax=3):
     data, cs = gens.data, gens.cs
     K = data.K
     nu = data.nu
-    X = {}
-    for l in range(1, K + 1):
-        for m in range(l, K + 1):
-            X[(l, m)] = build_xminus(gens, l, m)
+    X = root_vectors(gens)
     below = [(i, j) for j in range(1, K + 1) for i in range(j + 1, K + 1)]
 
     def aux39():
@@ -307,15 +314,15 @@ def check_weight_conjugation(gens, degree):
     d = _Deformation(gens)
     data = gens.data
     K = data.K
+    X = root_vectors(gens)
 
     def instances():
         for i in range(1, K + 1):
             for l in range(1, K + 1):
                 for m in range(l, K + 1):
-                    x = build_xminus(gens, l, m)
                     total = sum(data.a(i, r) for r in range(l, m + 1))
                     yield ("i=%d,l=%d,m=%d" % (i, l, m),
-                           *d.weight(i, x, -total))
+                           *d.weight(i, X[(l, m)], -total))
 
     return [_run("WeightConj", degree, instances())]
 
