@@ -76,7 +76,11 @@ def parse_opexpr(text, cs):
         coeff = RingElem.from_rational(1)
         m = _COEFF.match(part)
         if m:
-            coeff = RingElem.from_rational(Fraction(m.group(1)))
+            try:
+                coeff = RingElem.from_rational(Fraction(m.group(1)))
+            except ZeroDivisionError:
+                raise GrammarError("zero denominator in coefficient %r"
+                                   % m.group(1)) from None
             part = part[m.end():]
         ops = []
         pos = 0

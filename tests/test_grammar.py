@@ -31,6 +31,9 @@ def test_parse_linform_rejects_junk():
 def test_parse_opexpr_rejects_junk():
     with pytest.raises(GrammarError):
         parse_opexpr("x(1,1) nonsense", CS)
+    # a zero denominator is bad input, not an arithmetic error
+    with pytest.raises(GrammarError, match="zero denominator"):
+        parse_opexpr("1/0 * x(1,1)", CS)
 
 
 @pytest.mark.parametrize("text", [
