@@ -5,10 +5,11 @@ super-polynomial coordinate space."""
 from .scalars import RingElem, NonPolynomialLimit, qnum, qpow
 from .superpoly import CoordSystem, coord_parity
 from .operators import (LinForm, OpExpr, ContextMismatch, MixedParity,
-                        graded_commutator, op_eq_on_basis, basis_monomials)
+                        graded_commutator, first_failure, op_eq_on_basis,
+                        basis_monomials)
 from .algebra import (RootData, GeneratorSet, build_root_data,
                       build_classical, build_quantum, build_xminus,
-                      check_linform_identities)
+                      root_vectors, check_linform_identities)
 from .verify import run_full, VerificationReport
 
 __version__ = "0.1.0"

@@ -26,8 +26,11 @@ incoming coefficient on every later visit.  The memo lives for one
 basis-monomial probe: ``first_failure``, the one probe loop, takes the
 basis monomial as its outer loop, opens a fresh memo for each monomial,
 shares it between both sides of every pair still being checked, and drops
-it once that monomial is done, so no image outlives its probe.  ``apply``
-opens one per input monomial.
+it once that monomial is done, so no image outlives its probe.  The
+witness is the one checking the pairs one by one would give; the cost is
+on the failure path, where the pairs after the failing one have already
+been probed on every monomial up to the failure.  ``apply`` opens one memo
+per input monomial.
 """
 
 from __future__ import annotations

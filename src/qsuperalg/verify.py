@@ -6,14 +6,16 @@ annihilates every basis monomial of total degree up to the bound.  On
 failure the first failing monomial (in the canonical graded order) and
 the full residual polynomial are recorded as a witness.
 
-A suite is checked one basis monomial at a time (``operators.first_failure``):
-each monomial is one probe, every instance still being checked is applied
-to it in order, and one image memo is shared by all of them and dropped
-after the probe.  A root vector that several instances contain is thus
-evaluated once per monomial, not once per instance.  The suites read the
-root vectors from one table (``algebra.root_vectors``), whose X(l,m) is
-built on the very X(l,m-1) node, so these shared nodes are the same
-objects.
+A suite is checked one basis monomial at a time
+(``operators.first_failure``): each monomial is one probe, every instance
+still being checked is applied to it in order, and one image memo is
+shared by all of them and dropped after the probe.  A root vector that
+several instances contain is thus evaluated once per monomial, not once
+per instance.  The suites read the root vectors from one table
+(``algebra.root_vectors``), whose X(l,m) is built on the very X(l,m-1)
+node, so these shared nodes are the same objects.  A failing suite pays
+for this: the instances after the failing one have already been probed on
+every monomial up to the failure.
 """
 
 from __future__ import annotations

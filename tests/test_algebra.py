@@ -8,7 +8,7 @@ from qsuperalg import algebra
 from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
 from qsuperalg.algebra import (build_root_data, build_quantum,
                                build_classical, build_xminus,
-                               check_linform_identities)
+                               root_vectors, check_linform_identities)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,20 @@ def test_xminus_range_validation():
         build_xminus(gens, 2, 1)
     with pytest.raises(IndexError):
         build_xminus(gens, 1, 3)
+
+
+@pytest.mark.parametrize("build", [build_quantum, build_classical],
+                         ids=["quantum", "classical"])
+def test_root_vector_table_is_one_chain_of_shared_nodes(build):
+    gens = build(build_root_data(1, 1))
+    X = root_vectors(gens)
+    assert sorted(X) == [(l, m) for l in (1, 2, 3) for m in range(l, 4)]
+    for (l, m), x in X.items():
+        assert op_eq_on_basis(x, build_xminus(gens, l, m), 2)[0]
+        if m > l:
+            # X(l,m) = [f_m, X(l,m-1)] nests the table's own X(l,m-1)
+            assert any(f is X[(l, m - 1)]
+                       for _, factors in x.terms for f in factors)
 
 
 def test_odd_root_vectors_square_to_zero():

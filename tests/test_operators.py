@@ -364,8 +364,9 @@ def test_returned_image_is_not_shared_with_later_calls():
         img[MONO_ONE] = ONE
 
 
-def _auxq41_n3(monkeypatch):
-    """AuxQ41 at (1,1), i=2, j=1, n=3, exactly as check_aux states it."""
+def _auxq41(monkeypatch):
+    """The AuxQ41 instances at (1,1), nmax 3, exactly as check_aux states
+    them."""
     gens = build_quantum(build_root_data(1, 1))
     suites = {}
     with monkeypatch.context() as mp:
@@ -373,7 +374,12 @@ def _auxq41_n3(monkeypatch):
                    lambda tag, degree, instances:
                    suites.setdefault(tag, list(instances)))
         verify.check_aux(gens, 3, nmax=3)
-    (lhs, rhs), = [(lhs, rhs) for label, lhs, rhs in suites["AuxQ41"]
+    return suites["AuxQ41"]
+
+
+def _auxq41_n3(monkeypatch):
+    """AuxQ41 at (1,1), i=2, j=1, n=3."""
+    (lhs, rhs), = [(lhs, rhs) for label, lhs, rhs in _auxq41(monkeypatch)
                    if label == "i=2,j=1,n=3"]
     return lhs, rhs
 
@@ -399,6 +405,23 @@ def test_no_image_outlives_its_probe(monkeypatch):
     before = len(_reachable(lhs, rhs))
     assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
     assert len(_reachable(lhs, rhs)) == before
+    # a whole suite, whose probes share one memo among all its instances
+    instances = _auxq41(monkeypatch)
+    before = len(_reachable(instances))
+    assert verify._run("AuxQ41", 3, instances).status == "pass"
+    assert len(_reachable(instances)) == before
+
+
+def _count_koszul_calls(monkeypatch):
+    """Count the calls to ``mul_coord`` and ``grassmann_remove`` from now on;
+    the returned list holds the running total."""
+    calls = [0]
+    for name in ("mul_coord", "grassmann_remove"):
+        def counted(*args, _fn=getattr(superpoly, name)):
+            calls[0] += 1
+            return _fn(*args)
+        monkeypatch.setattr(superpoly, name, counted)
+    return calls
 
 
 def test_auxq41_work_count(monkeypatch):
@@ -409,15 +432,28 @@ def test_auxq41_work_count(monkeypatch):
     node's image of a monomial is computed once per probe.
     """
     lhs, rhs = _auxq41_n3(monkeypatch)
-    calls = [0]
-    for name in ("mul_coord", "grassmann_remove"):
-        def counted(*args, _fn=getattr(superpoly, name)):
-            calls[0] += 1
-            return _fn(*args)
-        monkeypatch.setattr(superpoly, name, counted)
+    calls = _count_koszul_calls(monkeypatch)
     assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
     assert calls[0] == 2642
     assert calls[0] < 4184
+
+
+def test_weight_conjugation_work_count(monkeypatch):
+    """Koszul-layer calls for WeightConj at (1,1), quantum, degree 3.
+
+    Checked one instance after another, each with a memo of its own and
+    X(l,m) built again for every i, the suite made 14736 calls to
+    ``mul_coord`` and ``grassmann_remove`` together.  With one memo per
+    probe shared by every instance, and the root vectors read from one
+    table, a root vector's image of a monomial is computed once per probe
+    for the whole suite.
+    """
+    gens = build_quantum(build_root_data(1, 1))
+    calls = _count_koszul_calls(monkeypatch)
+    results = verify.check_weight_conjugation(gens, 3)
+    assert [r.status for r in results] == ["pass"]
+    assert calls[0] == 3114
+    assert calls[0] < 14736
 
 
 def test_negative_degree_is_rejected():

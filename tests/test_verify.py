@@ -6,6 +6,8 @@ import pytest
 
 from qsuperalg import verify
 from qsuperalg.scalars import qpow
+from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
+from qsuperalg.operators import OpExpr, op_eq_on_basis
 from qsuperalg.algebra import build_root_data, build_quantum, build_classical
 from qsuperalg.verify import (run_full, check_cartan_relations,
                               check_aux, check_weight_conjugation,
@@ -107,6 +109,37 @@ def test_mutated_generator_fails_with_witness():
     failed = [r for r in results if r.status == "fail"]
     assert failed
     assert all(r.witness and "residual" in r.witness for r in failed)
+
+
+def _one_instance_after_another(instances, degree):
+    """The witness of a suite whose instances are checked one by one."""
+    for label, lhs, rhs in instances:
+        ok, wit = op_eq_on_basis(lhs, rhs, degree)
+        if not ok:
+            mono, residual = wit
+            return "%s at monomial %s: residual %s" % (
+                label, mono_render(lhs.cs, mono),
+                poly_render(lhs.cs, residual))
+    return None
+
+
+def test_probe_outer_loop_keeps_the_first_failing_instance():
+    cs = CoordSystem(1, 0)                  # z(1,1), th(1,2), th(2,2)
+    d = OpExpr.term(cs, (("D", 0),))
+    x = OpExpr.term(cs, (("x", 0),))
+    zero = OpExpr.zero(cs)
+    instances = [
+        ("passes", x, x),
+        ("D^2", d @ d, zero),               # fails only at z(1,1)^2
+        ("1", OpExpr.identity(cs), zero),   # fails at the first monomial
+    ]
+    # the probe-outer loop meets instance "1" first, at monomial 1, and
+    # must still report instance "D^2"
+    want = _one_instance_after_another(instances, 2)
+    assert want.startswith("D^2 at monomial z(1,1)^2: residual ")
+    result = verify._run("T", 2, iter(instances))
+    assert (result.status, result.instances) == ("fail", 3)
+    assert result.witness == want
 
 
 def test_suite_timings_are_recorded():
