@@ -232,6 +232,10 @@ def _f_terms(data, cs, i, variant, weights):
 
 
 def _build(data, weights, variant):
+    if weights is not None and (len(weights) != data.K or not all(
+            type(w) is int for w in weights)):
+        raise ValueError("weights must be None or %d ints, got %r"
+                         % (data.K, weights))
     cs = CoordSystem(data.M, data.N)
     diff = variant == "classical"
     t, e, f, t_form = {}, {}, {}, {}
@@ -258,6 +262,8 @@ def build_classical(data, weights=None):
 
 def build_generators(data, weights=None, variant="prop3"):
     """The generator set of any variant: prop2, prop3 or classical."""
+    if variant not in ("prop2", "prop3", "classical"):
+        raise ValueError("variant must be prop2, prop3 or classical")
     if variant == "classical":
         return build_classical(data, weights)
     return build_quantum(data, weights, variant)

@@ -4,7 +4,8 @@
     term   := [coeff " * "] factor (" " factor)*
     factor := "x(l,m)" | "D(l,m)" | "d(l,m)" | "q^{" lin "}" | "[" lin "]"
               | "{" lin "}"
-    lin    := signed sum of "M(l,m)", "L(i)" and integers
+    lin    := "0" | [sign] token (sign token)*
+    token  := [n] "M(l,m)" | [n] "L(i)" | n
 
 Used by the test suite to round-trip generator listings back into
 operator expressions.
@@ -43,10 +44,13 @@ def parse_linform(text, cs):
     text = text.strip()
     if text == "0":
         return LinForm()
+    if not text:
+        raise GrammarError("empty linear form")
     coeffs, lam, const = {}, [], 0
     pos = 0
     for m in _LIN_TOKEN.finditer(text):
-        if m.start() != pos:
+        # every token after the first is joined to the last by its sign
+        if m.start() != pos or (pos and not m.group(1)):
             raise GrammarError("bad linear form: %r" % text)
         pos = m.end()
         sign = -1 if m.group(1) == "-" else 1
@@ -73,6 +77,8 @@ def parse_opexpr(text, cs):
     terms = []
     for part in text.split(" + "):
         part = part.strip()
+        if not part:
+            raise GrammarError("empty term in %r" % text)
         coeff = RingElem.from_rational(1)
         m = _COEFF.match(part)
         if m:

@@ -343,8 +343,11 @@ def _steps(ops):
                  for s in steps) or ((),)
 
 
-# the scalar each elementary operator multiplies in: an even derivative's
-# factor on exponent n, or the value of a factor's linear form
+# the exponent step of each coordinate operator
+_SHIFT = {"x": 1, "D": -1, "d": -1}
+
+# the scalar each elementary operator multiplies in: a derivative's factor
+# on the old exponent n, or the value of a factor's linear form
 _FACTOR = {"D": qnum, "d": lin, "qpow": qpow, "qnum": qnum, "lin": lin}
 
 
@@ -352,32 +355,22 @@ def _run(cs, ops, m, c):
     """Thread (monomial, coefficient) through elementary ops in acting order.
 
     Each elementary operator maps a monomial to at most one monomial;
-    returns the image pair, or None once the monomial is annihilated.
+    returns the image pair, or None once the monomial is annihilated.  A
+    derivative's factor [n] or n is multiplied in only for n > 1, since
+    both are 1 at n = 1, the only old exponent an odd coordinate has.
     """
     for op in ops:
         kind = op[0]
-        if kind == "x":
-            r = sp.mul_coord(cs, op[1], m)
+        d = _SHIFT.get(kind)
+        if d is not None:
+            r = sp.shift_coord(cs, op[1], m, d)
             if r is None:
                 return None
-            sign, m = r
+            sign, n, m = r
             if sign < 0:
                 c = -c
-        elif kind == "D" or kind == "d":
-            pos = op[1]
-            if cs.odd[pos]:
-                r = sp.grassmann_remove(cs, pos, m)
-                if r is None:
-                    return None
-                sign, m = r
-                if sign < 0:
-                    c = -c
-            else:
-                n = sp.mono_exp(m, pos)
-                if n == 0:
-                    return None
+            if d < 0 and n > 1:
                 c = c * _FACTOR[kind](n)
-                m = sp.mono_dec(m, pos)
         else:  # a linear form's q-power, q-number or classical value
             lf = op[1]
             s = _FACTOR[kind](lf.eval_const(m), lf.lam)

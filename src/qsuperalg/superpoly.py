@@ -4,6 +4,20 @@ Coordinates x(l,m) with 1 <= l <= m <= M+N+1 split into commuting z's and
 Grassmann theta's.  Monomials are sparse exponent vectors in a fixed
 row-major canonical order; every Grassmann sign in the engine is computed
 against that order.
+
+Every coordinate operator is one step, ``shift_coord``: it moves the
+exponent at one position by +1 (multiplication by x(l,m)) or by -1 (the
+derivative D(l,m) or d(l,m), whose factor [n] or n the operator layer
+multiplies in) under two rules:
+
+  * range: an exponent stays >= 0, and <= 1 on an odd coordinate, so
+    th^2 = 0 and the derivative of a monomial without the coordinate is 0;
+  * Koszul sign: a step at an odd coordinate passes every odd coordinate
+    before it in the monomial, each giving a factor -1; a step at an even
+    coordinate gives none.
+
+The Grassmann derivative is the same step as the q-difference with
+[1] = 1, so no other function reads a coordinate's parity to act on it.
 """
 
 from __future__ import annotations
@@ -50,84 +64,36 @@ class CoordSystem:
 MONO_ONE = ()
 
 
-def mono_degree(mono):
-    return sum(e for _, e in mono)
+def shift_coord(cs, pos, mono, d):
+    """The coordinate step: move the exponent at ``pos`` by ``d``.
 
-
-def mono_exp(mono, pos):
-    for p, e in mono:
-        if p == pos:
-            return e
-    return 0
-
-
-def mul_coord(cs, pos, mono):
-    """Left-multiply a monomial by the coordinate at ``pos``.
-
-    Returns (sign, monomial) or None when an odd coordinate squares to zero.
-    The sign is -1 raised to the number of odd coordinates strictly before
-    ``pos`` that are present in the monomial.
+    d = +1 is x(l,m), d = -1 is D(l,m) or d(l,m) before the factor the
+    derivative brings down.  Returns (sign, n, monomial), n being the old
+    exponent at ``pos``, or None when the new exponent would leave its
+    range.  The sign is 1 on an even ``pos``, and on an odd one -1 raised
+    to the number of odd coordinates before ``pos`` in the monomial.
     """
-    if cs.odd[pos]:
-        sign = 1
-        out = []
-        placed = False
-        for p, e in mono:
-            if p == pos:
-                return None
-            if p > pos and not placed:
-                out.append((pos, 1))
-                placed = True
-            if p < pos and cs.odd[p]:
-                sign = -sign
-            out.append((p, e))
-        if not placed:
-            out.append((pos, 1))
-        return sign, tuple(out)
-    out = []
-    placed = False
-    for p, e in mono:
-        if p == pos:
-            out.append((p, e + 1))
-            placed = True
-        elif p > pos and not placed:
-            out.append((pos, 1))
-            placed = True
-            out.append((p, e))
-        else:
-            out.append((p, e))
-    if not placed:
-        out.append((pos, 1))
-    return 1, tuple(out)
-
-
-def grassmann_remove(cs, pos, mono):
-    """Left Grassmann derivative on a monomial: (sign, monomial) or None."""
+    odd = cs.odd
     sign = 1
-    out = []
-    found = False
-    for p, e in mono:
-        if p == pos:
-            found = True
-            continue
-        if p < pos and cs.odd[p]:
+    k = 0
+    for p, n in mono:
+        if p >= pos:
+            break
+        if odd[p]:
             sign = -sign
-        out.append((p, e))
-    if not found:
+        k += 1
+    else:  # every position is below pos, or the monomial is 1
+        p = None
+    if p == pos:
+        tail = mono[k + 1:]
+    else:
+        n, tail = 0, mono[k:]
+    e = n + d
+    if e < 0 or e > 1 and odd[pos]:
         return None
-    return sign, tuple(out)
-
-
-def mono_dec(mono, pos):
-    """Lower the exponent at ``pos`` by one (even coordinates)."""
-    out = []
-    for p, e in mono:
-        if p == pos:
-            if e > 1:
-                out.append((p, e - 1))
-        else:
-            out.append((p, e))
-    return tuple(out)
+    head = mono[:k]
+    return (sign if odd[pos] else 1, n,
+            head + ((pos, e),) + tail if e else head + tail)
 
 
 def mono_render(cs, mono):

@@ -392,8 +392,8 @@ def run_full(M, N, mode="symbolic", degree=3, nmax=2, variant="prop3",
              weights=None):
     """Build the algebra and run every applicable suite.
 
-    ``mode`` is "symbolic" (weight markers) or "integer" (requires
-    ``weights``, a list of M+N+1 integers).
+    ``mode`` is "symbolic" (weight markers, no ``weights``) or "integer"
+    (requires ``weights``, a list of M+N+1 integers).
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -404,8 +404,9 @@ def run_full(M, N, mode="symbolic", degree=3, nmax=2, variant="prop3",
     if mode == "integer":
         if weights is None or len(weights) != M + N + 1:
             raise ValueError("integer mode needs %d weights" % (M + N + 1))
-    else:
-        weights = None
+    elif weights is not None:
+        raise ValueError("weights need mode integer (symbolic mode keeps "
+                         "the weights as symbols)")
     gens = build_generators(build_root_data(M, N), weights, variant)
     report = VerificationReport(M, N, mode, variant, degree, nmax)
     report.suites += check_cartan_relations(gens, degree)

@@ -1,5 +1,7 @@
 """Tests for the root data and the three generator realizations."""
 
+from fractions import Fraction
+
 import pytest
 
 from qsuperalg.scalars import qpow
@@ -7,7 +9,7 @@ from qsuperalg.superpoly import MONO_ONE, poly_one, poly_eq
 from qsuperalg import algebra
 from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
 from qsuperalg.algebra import (build_root_data, build_quantum,
-                               build_classical, build_xminus,
+                               build_classical, build_generators, build_xminus,
                                root_vectors, check_linform_identities)
 
 
@@ -92,6 +94,19 @@ def test_t_inverse():
 def test_variant_validation():
     with pytest.raises(ValueError):
         build_quantum(build_root_data(1, 0), variant="classical")
+    with pytest.raises(ValueError, match="prop2, prop3 or classical"):
+        build_generators(build_root_data(1, 0), None, "prop9")
+
+
+@pytest.mark.parametrize("weights", [
+    [2, 1.0], [Fraction(1, 2), 1], [2], [2, -1, 0],
+])
+@pytest.mark.parametrize("build", [build_quantum, build_classical])
+def test_weights_must_be_none_or_k_ints(build, weights):
+    # a float or Fraction weight, a short list and a long one are all
+    # rejected up front, not cut or failed on deep in the scalar layer
+    with pytest.raises(ValueError, match="2 ints"):
+        build(build_root_data(1, 0), weights)
 
 
 # ---------------------------------------------------------------------------

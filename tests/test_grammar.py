@@ -37,6 +37,16 @@ def test_parse_opexpr_rejects_junk():
 
 
 @pytest.mark.parametrize("text", [
+    "", "   ", "q^{}", "[]", "{ }", "x(1,1) [M(1,1)M(1,2)]", "q^{M(1,1)2}",
+    "{L(1)L(1)}",
+])
+def test_parse_opexpr_rejects_empty_text_forms_and_unsigned_tokens(text):
+    # the printer writes no empty term or form and a sign between tokens
+    with pytest.raises(GrammarError):
+        parse_opexpr(text, CS)
+
+
+@pytest.mark.parametrize("text", [
     "x(9,9)", "D(2,1)", "q^{M(3,3)}", "[M(1,1)+M(0,1)]", "q^{L(0)}",
     "{-2L(0)+1}",
 ])

@@ -413,23 +413,25 @@ def test_no_image_outlives_its_probe(monkeypatch):
 
 
 def _count_koszul_calls(monkeypatch):
-    """Count the calls to ``mul_coord`` and ``grassmann_remove`` from now on;
-    the returned list holds the running total."""
+    """Count the Koszul-layer steps from now on: the calls to
+    ``shift_coord`` that multiply (d > 0) or act on an odd coordinate.
+    The returned list holds the running total."""
     calls = [0]
-    for name in ("mul_coord", "grassmann_remove"):
-        def counted(*args, _fn=getattr(superpoly, name)):
+    step = superpoly.shift_coord
+
+    def counted(cs, pos, mono, d):
+        if d > 0 or cs.odd[pos]:
             calls[0] += 1
-            return _fn(*args)
-        monkeypatch.setattr(superpoly, name, counted)
+        return step(cs, pos, mono, d)
+    monkeypatch.setattr(superpoly, "shift_coord", counted)
     return calls
 
 
 def test_auxq41_work_count(monkeypatch):
     """Koszul-layer calls for AuxQ41 (n=3) at (1,1), degree 3.
 
-    Without the image memo this instance made 4184 calls to
-    ``mul_coord`` and ``grassmann_remove`` together; with it, a nested
-    node's image of a monomial is computed once per probe.
+    Without the image memo this instance made 4184 such steps; with it, a
+    nested node's image of a monomial is computed once per probe.
     """
     lhs, rhs = _auxq41_n3(monkeypatch)
     calls = _count_koszul_calls(monkeypatch)
@@ -442,11 +444,10 @@ def test_weight_conjugation_work_count(monkeypatch):
     """Koszul-layer calls for WeightConj at (1,1), quantum, degree 3.
 
     Checked one instance after another, each with a memo of its own and
-    X(l,m) built again for every i, the suite made 14736 calls to
-    ``mul_coord`` and ``grassmann_remove`` together.  With one memo per
-    probe shared by every instance, and the root vectors read from one
-    table, a root vector's image of a monomial is computed once per probe
-    for the whole suite.
+    X(l,m) built again for every i, the suite made 14736 such steps.
+    With one memo per probe shared by every instance, and the root vectors
+    read from one table, a root vector's image of a monomial is computed
+    once per probe for the whole suite.
     """
     gens = build_quantum(build_root_data(1, 1))
     calls = _count_koszul_calls(monkeypatch)

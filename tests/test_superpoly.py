@@ -1,13 +1,14 @@
-"""Tests for the super-polynomial coordinate chart: parities, Grassmann
-signs and the sparse polynomial helpers."""
+"""Tests for the super-polynomial coordinate chart: parities, the
+coordinate step with its Grassmann signs, and the sparse polynomial
+helpers."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsuperalg.scalars import ONE, MINUS_ONE, qpow
+from qsuperalg.operators import basis_monomials
 from qsuperalg.superpoly import (CoordSystem, coord_parity, MONO_ONE,
-                                 mono_degree, mono_exp, mono_dec,
-                                 mul_coord, grassmann_remove, mono_render,
+                                 shift_coord, mono_render,
                                  poly_one, poly_sub, poly_scale,
                                  poly_add_term, poly_eq, poly_render)
 
@@ -55,52 +56,48 @@ def test_coord_system_equality_is_by_shape():
 
 
 # ---------------------------------------------------------------------------
-# monomial multiplication and Grassmann signs
+# the coordinate step and its Grassmann signs
 # ---------------------------------------------------------------------------
 
 def test_even_multiplication_increments_exponent():
     cs = CoordSystem(1, 0)
-    sign, mono = mul_coord(cs, 0, ((0, 2),))
-    assert (sign, mono) == (1, ((0, 3),))
-    sign, mono = mul_coord(cs, 0, MONO_ONE)
-    assert (sign, mono) == (1, ((0, 1),))
+    assert shift_coord(cs, 0, ((0, 2),), 1) == (1, 2, ((0, 3),))
+    assert shift_coord(cs, 0, MONO_ONE, 1) == (1, 0, ((0, 1),))
 
 
 def test_odd_square_is_zero():
     cs = CoordSystem(1, 0)
-    assert mul_coord(cs, 1, ((1, 1),)) is None
-    assert mul_coord(cs, 2, ((1, 1), (2, 1))) is None
+    assert shift_coord(cs, 1, ((1, 1),), 1) is None
+    assert shift_coord(cs, 2, ((1, 1), (2, 1)), 1) is None
 
 
 def test_koszul_sign_counts_earlier_odd_coordinates():
     cs = CoordSystem(1, 0)
     # theta22 * theta12 = -theta12 theta22 in canonical order
-    sign, mono = mul_coord(cs, 2, ((1, 1),))
-    assert (sign, mono) == (-1, ((1, 1), (2, 1)))
+    assert shift_coord(cs, 2, ((1, 1),), 1) == (-1, 0, ((1, 1), (2, 1)))
     # theta12 * theta22 needs no swap
-    sign, mono = mul_coord(cs, 1, ((2, 1),))
-    assert (sign, mono) == (1, ((1, 1), (2, 1)))
+    assert shift_coord(cs, 1, ((2, 1),), 1) == (1, 0, ((1, 1), (2, 1)))
     # even coordinates never produce signs
-    sign, _ = mul_coord(cs, 0, ((1, 1), (2, 1)))
+    sign, _, _ = shift_coord(cs, 0, ((1, 1), (2, 1)), 1)
     assert sign == 1
 
 
-def test_grassmann_remove_left_derivative_sign():
+def test_grassmann_derivative_left_sign():
     cs = CoordSystem(1, 0)
     mono = ((1, 1), (2, 1))        # th(1,2) th(2,2)
-    assert grassmann_remove(cs, 1, mono) == (1, ((2, 1),))
-    assert grassmann_remove(cs, 2, mono) == (-1, ((1, 1),))
-    assert grassmann_remove(cs, 1, ((0, 2),)) is None
+    assert shift_coord(cs, 1, mono, -1) == (1, 1, ((2, 1),))
+    assert shift_coord(cs, 2, mono, -1) == (-1, 1, ((1, 1),))
+    assert shift_coord(cs, 1, ((0, 2),), -1) is None
 
 
 def test_mul_then_remove_round_trips():
     cs = CoordSystem(2, 2)
     mono = ((1, 1), (3, 1), (7, 1))
     for pos in range(cs.ncoords):
-        if not cs.odd[pos] or mono_exp(mono, pos):
+        if not cs.odd[pos] or pos in dict(mono):
             continue
-        s1, m1 = mul_coord(cs, pos, mono)
-        s2, m2 = grassmann_remove(cs, pos, m1)
+        s1, _, m1 = shift_coord(cs, pos, mono, 1)
+        s2, _, m2 = shift_coord(cs, pos, m1, -1)
         assert m2 == mono and s1 * s2 == 1
 
 
@@ -110,16 +107,46 @@ def test_multiplication_adds_one_to_degree(a, b):
     cs = CoordSystem(1, 1)
     mono = tuple(p for p in (((0, a) if a else None), ((3, b) if b else None))
                  if p)
-    sign, out = mul_coord(cs, 0, mono)
-    assert mono_degree(out) == mono_degree(mono) + 1
+    _, _, out = shift_coord(cs, 0, mono, 1)
+    assert sum(e for _, e in out) == sum(e for _, e in mono) + 1
 
 
-def test_mono_helpers():
-    assert mono_degree((((0, 2)), (2, 1))) == 3
-    assert mono_exp(((0, 2), (2, 1)), 0) == 2
-    assert mono_exp(((0, 2),), 5) == 0
-    assert mono_dec(((0, 2), (2, 1)), 0) == ((0, 1), (2, 1))
-    assert mono_dec(((0, 1),), 0) == MONO_ONE
+def test_even_derivative_step():
+    cs = CoordSystem(1, 0)
+    # the old exponent comes back, and exponent 1 drops out
+    assert shift_coord(cs, 0, ((0, 2), (2, 1)), -1) == (1, 2, ((0, 1), (2, 1)))
+    assert shift_coord(cs, 0, ((0, 1),), -1) == (1, 1, MONO_ONE)
+    # exponent 0: the derivative annihilates the monomial
+    assert shift_coord(cs, 0, ((2, 1),), -1) is None
+    assert shift_coord(cs, 0, MONO_ONE, -1) is None
+
+
+def _reference_step(cs, pos, mono, d):
+    """The coordinate step on a dense exponent vector."""
+    vec = [0] * cs.ncoords
+    for p, e in mono:
+        vec[p] = e
+    n = vec[pos]
+    vec[pos] = n + d
+    if vec[pos] < 0 or (cs.odd[pos] and vec[pos] > 1):
+        return None
+    # the odd coordinates present before an odd pos
+    passed = sum(vec[p] for p in range(pos) if cs.odd[p]) if cs.odd[pos] else 0
+    return ((-1) ** passed, n,
+            tuple((p, e) for p, e in enumerate(vec) if e))
+
+
+@pytest.mark.parametrize("MN,nmonos", [((1, 1), 56), ((2, 1), 220)])
+def test_shift_coord_matches_the_dense_reference(MN, nmonos):
+    cs = CoordSystem(*MN)
+    checked = 0
+    for mono in basis_monomials(cs, 3):
+        for pos in range(cs.ncoords):
+            for d in (1, -1):
+                assert shift_coord(cs, pos, mono, d) \
+                    == _reference_step(cs, pos, mono, d), (mono, pos, d)
+                checked += 1
+    assert checked == nmonos * cs.ncoords * 2
 
 
 def test_mono_render():

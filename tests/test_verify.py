@@ -70,6 +70,8 @@ def test_run_full_argument_validation():
         run_full(1, 0, mode="integer")                # weights missing
     with pytest.raises(ValueError):
         run_full(1, 0, mode="integer", weights=[1])   # wrong length
+    with pytest.raises(ValueError, match="mode integer"):
+        run_full(1, 0, mode="symbolic", weights=[2, -1])
     with pytest.raises(ValueError):
         run_full(1, 0, mode="numeric")
     with pytest.raises(ValueError):
