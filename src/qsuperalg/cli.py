@@ -134,8 +134,7 @@ def cmd_example_sl21(cfg, out):
               ((cs.pos[(1, 1)], 1), (cs.pos[(1, 2)], 1)),
               ((cs.pos[(1, 2)], 1), (cs.pos[(2, 2)], 1))]
     ok = True
-    for mono in probes:
-        mono = tuple(sorted(mono))
+    for mono in map(sp.mono_pack, probes):
         lhs = bracket.apply_monomial(mono)
         rhs = eigen.apply_monomial(mono)
         agree = sp.poly_eq(lhs, rhs)
@@ -203,8 +202,12 @@ def main(argv=None):
         "identities": cmd_identities,
         "example-sl21": cmd_example_sl21,
     }
-    with _open_output(cfg, parser) as out:
-        return handlers[cfg.command](cfg, out)
+    try:
+        with _open_output(cfg, parser) as out:
+            return handlers[cfg.command](cfg, out)
+    except OverflowError as err:
+        # an exponent past a packed field: a scalar's or a monomial's
+        parser.exit(2, "%s: error: %s\n" % (parser.prog, err))
 
 
 if __name__ == "__main__":

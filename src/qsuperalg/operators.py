@@ -31,6 +31,15 @@ witness is the one checking the pairs one by one would give; the cost is
 on the failure path, where the pairs after the failing one have already
 been probed on every monomial up to the failure.  ``apply`` opens one memo
 per input monomial.
+
+A monomial is the packed int of ``superpoly``, and each elementary
+operator is compiled once, when its term is built, to the exponent step,
+position or form, and scalar constructor it needs.  Images accumulate in
+place: a term threads the monomial through its factors in acting order,
+and the last factor's images are added straight into the result, where a
+coefficient that cancels is dropped.  A term coefficient of 1 is never
+multiplied in, and a memoised image scaled by +1 or -1 is added or
+subtracted without a product.
 """
 
 from __future__ import annotations
@@ -57,10 +66,13 @@ class LinForm:
     pairs, whose repeated indices add.
     """
 
-    __slots__ = ("coeffs", "const", "lam")
+    __slots__ = ("coeffs", "const", "lam", "_fields")
 
     def __init__(self, coeffs=None, const=0, lam=()):
         self.coeffs = {p: c for p, c in (coeffs or {}).items() if c}
+        # (bit offset of the exponent field, coefficient) per coordinate
+        self._fields = tuple((sp.FIELD_BITS * p, c)
+                             for p, c in self.coeffs.items())
         self.const = const
         la = {}
         for i, c in (lam.items() if isinstance(lam, dict) else lam):
@@ -92,11 +104,8 @@ class LinForm:
     def eval_const(self, mono):
         """Integer part of the form on a monomial's exponent vector."""
         v = self.const
-        if self.coeffs:
-            for p, e in mono:
-                c = self.coeffs.get(p)
-                if c:
-                    v += c * e
+        for shift, c in self._fields:
+            v += c * (mono >> shift & sp.FIELD_TOP)
         return v
 
     def __eq__(self, other):
@@ -147,7 +156,9 @@ class OpExpr:
     def __init__(self, cs, terms):
         self.cs = cs
         self.terms = tuple((c, ops) for c, ops in terms if not c.is_zero())
-        self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
+        # a unit term coefficient is stored as None: nothing to multiply
+        self._plan = tuple((None if c.is_one() else c, _steps(ops))
+                           for c, ops in self.terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -244,7 +255,7 @@ class OpExpr:
 
         A nested factor's image of a monomial is computed once per probe
         with coefficient 1 and kept in ``_memo`` under (node, monomial);
-        every visit multiplies that image by the coefficient it carries.
+        every visit scales that image by the coefficient it carries.
         ``_memo`` is private: a caller that probes one monomial with
         several operators passes one dict to all of them, anything else
         leaves it out and gets a fresh one.  Only nested factors' images
@@ -254,38 +265,72 @@ class OpExpr:
             _memo = {}
         cs = self.cs
         out = {}
+        if coeff.is_zero():
+            return out
         for tc, steps in self._plan:
             if len(steps) == 1 and type(steps[0]) is tuple:
                 # a chain of elementary operators: the term coefficient is
                 # multiplied in only if the monomial survives the chain
                 r = _run(cs, steps[0], mono, coeff)
-                if r is not None:
-                    sp.poly_add_term(out, r[0], r[1] * tc)
+                if r is None:
+                    continue
+                m, c = r
+                if tc is not None:
+                    c = c * tc
+                cur = out.get(m)
+                if cur is None:
+                    out[m] = c
+                else:
+                    c = cur + c
+                    if c.is_zero():
+                        del out[m]
+                    else:
+                        out[m] = c
                 continue
-            poly = {mono: coeff * tc}
-            for step in steps:
-                nxt = {}
+            poly = {mono: coeff if tc is None else coeff * tc}
+            last = len(steps) - 1
+            for k, step in enumerate(steps):
+                # the last step's images go straight into out
+                nxt = out if k == last else {}
                 if type(step) is tuple:
-                    # elementary operators send distinct monomials to
-                    # distinct monomials, so the images never collide
                     for m, c in poly.items():
                         r = _run(cs, step, m, c)
-                        if r is not None:
-                            nxt[r[0]] = r[1]
+                        if r is None:
+                            continue
+                        m, c = r
+                        cur = nxt.get(m)
+                        if cur is None:
+                            nxt[m] = c
+                        else:
+                            c = cur + c
+                            if c.is_zero():
+                                del nxt[m]
+                            else:
+                                nxt[m] = c
                 else:
                     for m, c in poly.items():
                         img = _memo.get((step, m))
                         if img is None:
                             img = _memo[step, m] = step.apply_monomial(
                                 m, ONE, _memo)
+                        # an image scaled by +-1 is added or subtracted
+                        neg = c == MINUS_ONE
+                        unit = neg or c.is_one()
                         for m2, c2 in img.items():
-                            sp.poly_add_term(nxt, m2, c2 * c)
+                            if not unit:
+                                c2 = c2 * c
+                            cur = nxt.get(m2)
+                            if cur is None:
+                                nxt[m2] = -c2 if neg else c2
+                            else:
+                                c2 = cur - c2 if neg else cur + c2
+                                if c2.is_zero():
+                                    del nxt[m2]
+                                else:
+                                    nxt[m2] = c2
                 if not nxt:
                     break
                 poly = nxt
-            else:
-                for m, c in poly.items():
-                    sp.poly_add_term(out, m, c)
         return out
 
     # -- rendering ----------------------------------------------------------
@@ -330,20 +375,23 @@ class OpExpr:
 def _steps(ops):
     """The factors of one term in acting order, each run of consecutive
     elementary operators grouped into one tuple; a term with no nested
-    factor is a single (possibly empty) run."""
+    factor is a single (possibly empty) run.  Each elementary operator is
+    compiled to (d, arg, factor): a coordinate operator to its exponent
+    step d = +-1, its position and its derivative's factor, a linear-form
+    operator to d = 0, its form and the constructor of its value."""
     steps = []
     for op in reversed(ops):
         if isinstance(op, OpExpr):
             steps.append(op)
-        elif steps and type(steps[-1]) is list:
-            steps[-1].append(op)
-        else:
-            steps.append([op])
+            continue
+        if not (steps and type(steps[-1]) is list):
+            steps.append([])
+        steps[-1].append((_SHIFT.get(op[0], 0), op[1], _FACTOR.get(op[0])))
     return tuple(s if isinstance(s, OpExpr) else tuple(s)
                  for s in steps) or ((),)
 
 
-# the exponent step of each coordinate operator
+# the exponent step of each coordinate operator; 0 for a linear form's
 _SHIFT = {"x": 1, "D": -1, "d": -1}
 
 # the scalar each elementary operator multiplies in: a derivative's factor
@@ -352,32 +400,32 @@ _FACTOR = {"D": qnum, "d": lin, "qpow": qpow, "qnum": qnum, "lin": lin}
 
 
 def _run(cs, ops, m, c):
-    """Thread (monomial, coefficient) through elementary ops in acting order.
+    """Thread (monomial, coefficient) through compiled elementary ops in
+    acting order.
 
     Each elementary operator maps a monomial to at most one monomial;
     returns the image pair, or None once the monomial is annihilated.  A
     derivative's factor [n] or n is multiplied in only for n > 1, since
-    both are 1 at n = 1, the only old exponent an odd coordinate has.
+    both are 1 at n = 1, the only old exponent an odd coordinate has.  The
+    Koszul signs are collected in one flag and applied once at the end.
     """
-    for op in ops:
-        kind = op[0]
-        d = _SHIFT.get(kind)
-        if d is not None:
-            r = sp.shift_coord(cs, op[1], m, d)
+    neg = False
+    for d, arg, factor in ops:
+        if d:
+            r = sp.shift_coord(cs, arg, m, d)
             if r is None:
                 return None
             sign, n, m = r
             if sign < 0:
-                c = -c
-            if d < 0 and n > 1:
-                c = c * _FACTOR[kind](n)
+                neg = not neg
+            if n > 1 and d < 0:
+                c = c * factor(n)
         else:  # a linear form's q-power, q-number or classical value
-            lf = op[1]
-            s = _FACTOR[kind](lf.eval_const(m), lf.lam)
+            s = factor(arg.eval_const(m), arg.lam)
             if s.is_zero():
                 return None
             c = c * s
-    return m, c
+    return m, -c if neg else c
 
 
 def graded_commutator(a, b, xi=None):
@@ -402,7 +450,7 @@ def basis_monomials(cs, degree):
 
 def _monos_of_degree(cs, pos, remaining, acc):
     if remaining == 0:
-        yield acc
+        yield sp.mono_pack(acc)
         return
     if pos >= cs.ncoords:
         return

@@ -1,9 +1,11 @@
 """Super-polynomial coordinate space for sl(M+1|N+1) realizations.
 
 Coordinates x(l,m) with 1 <= l <= m <= M+N+1 split into commuting z's and
-Grassmann theta's.  Monomials are sparse exponent vectors in a fixed
-row-major canonical order; every Grassmann sign in the engine is computed
-against that order.
+Grassmann theta's, numbered by position in a fixed row-major canonical
+order; every Grassmann sign in the engine is computed against that order.
+A monomial is one int: the exponent of position p sits in the 16-bit field
+at bit 16 p, so the monomial 1 is ``MONO_ONE = 0``.  ``mono_pack`` and
+``mono_pairs`` convert between that int and (position, exponent) pairs.
 
 Every coordinate operator is one step, ``shift_coord``: it moves the
 exponent at one position by +1 (multiplication by x(l,m)) or by -1 (the
@@ -12,9 +14,14 @@ multiplies in) under two rules:
 
   * range: an exponent stays >= 0, and <= 1 on an odd coordinate, so
     th^2 = 0 and the derivative of a monomial without the coordinate is 0;
+    an even exponent past the field's top, 0xFFFF, raises OverflowError
+    instead of carrying into the next field;
   * Koszul sign: a step at an odd coordinate passes every odd coordinate
     before it in the monomial, each giving a factor -1; a step at an even
-    coordinate gives none.
+    coordinate gives none.  An odd exponent is 0 or 1, so the sign is the
+    parity of the bit count of the monomial under the position's mask:
+    the low bit of each odd field before an odd position, 0 for an even
+    one.
 
 The Grassmann derivative is the same step as the q-difference with
 [1] = 1, so no other function reads a coordinate's parity to act on it.
@@ -23,6 +30,10 @@ The Grassmann derivative is the same step as the q-difference with
 from __future__ import annotations
 
 from .scalars import ONE
+
+FIELD_BITS = 16
+FIELD_TOP = (1 << FIELD_BITS) - 1
+MONO_ONE = 0
 
 
 def coord_parity(l, m, M, N):
@@ -36,7 +47,8 @@ def coord_parity(l, m, M, N):
 class CoordSystem:
     """The coordinate chart for a fixed (M, N): index maps and parities."""
 
-    __slots__ = ("M", "N", "K", "coords", "pos", "odd", "ncoords")
+    __slots__ = ("M", "N", "K", "coords", "pos", "odd", "ncoords",
+                 "sign_mask")
 
     def __init__(self, M, N):
         if M < 0 or N < 0:
@@ -48,6 +60,11 @@ class CoordSystem:
         self.pos = {c: i for i, c in enumerate(self.coords)}
         self.odd = tuple(coord_parity(l, m, M, N) for l, m in self.coords)
         self.ncoords = len(self.coords)
+        # per position, the low bit of each odd field before it; 0 on an
+        # even position, whose step passes no sign
+        self.sign_mask = tuple(
+            sum(1 << FIELD_BITS * q for q in range(p) if self.odd[q])
+            if odd else 0 for p, odd in enumerate(self.odd))
 
     def __eq__(self, other):
         return isinstance(other, CoordSystem) and (self.M, self.N) == (other.M, other.N)
@@ -59,9 +76,29 @@ class CoordSystem:
         return "CoordSystem(M=%d, N=%d)" % (self.M, self.N)
 
 
-# A monomial is a tuple of (position, exponent) pairs, sorted by position,
-# with all exponents positive and odd exponents equal to 1.
-MONO_ONE = ()
+def mono_pack(pairs):
+    """The monomial with the given (position, exponent) pairs."""
+    mono = 0
+    for p, e in pairs:
+        if not 0 <= e <= FIELD_TOP:
+            raise OverflowError("exponent %d leaves the monomial field "
+                                "[0, %d]" % (e, FIELD_TOP))
+        mono += e << FIELD_BITS * p
+    return mono
+
+
+def mono_pairs(mono):
+    """The (position, exponent) pairs of a monomial, by position, without
+    zero exponents."""
+    pairs = []
+    p = 0
+    while mono:
+        e = mono & FIELD_TOP
+        if e:
+            pairs.append((p, e))
+        mono >>= FIELD_BITS
+        p += 1
+    return tuple(pairs)
 
 
 def shift_coord(cs, pos, mono, d):
@@ -73,34 +110,24 @@ def shift_coord(cs, pos, mono, d):
     range.  The sign is 1 on an even ``pos``, and on an odd one -1 raised
     to the number of odd coordinates before ``pos`` in the monomial.
     """
-    odd = cs.odd
-    sign = 1
-    k = 0
-    for p, n in mono:
-        if p >= pos:
-            break
-        if odd[p]:
-            sign = -sign
-        k += 1
-    else:  # every position is below pos, or the monomial is 1
-        p = None
-    if p == pos:
-        tail = mono[k + 1:]
-    else:
-        n, tail = 0, mono[k:]
+    shift = FIELD_BITS * pos
+    n = mono >> shift & FIELD_TOP
     e = n + d
-    if e < 0 or e > 1 and odd[pos]:
+    if e < 0 or e > 1 and cs.odd[pos]:
         return None
-    head = mono[:k]
-    return (sign if odd[pos] else 1, n,
-            head + ((pos, e),) + tail if e else head + tail)
+    if e > FIELD_TOP:
+        raise OverflowError("exponent %d of coordinate (%d,%d) leaves the "
+                            "monomial field [0, %d]"
+                            % ((e,) + cs.coords[pos] + (FIELD_TOP,)))
+    return (-1 if (mono & cs.sign_mask[pos]).bit_count() & 1 else 1, n,
+            mono + (d << shift))
 
 
 def mono_render(cs, mono):
     if not mono:
         return "1"
     parts = []
-    for p, e in mono:
+    for p, e in mono_pairs(mono):
         l, m = cs.coords[p]
         if cs.odd[p]:
             parts.append("th(%d,%d)" % (l, m))
@@ -154,7 +181,7 @@ def poly_render(cs, a):
     if not a:
         return "0"
     parts = []
-    for mono in sorted(a):
+    for mono in sorted(a, key=mono_pairs):
         c = a[mono]
         ctext = c.render()
         if " " in ctext or "+" in ctext[1:] or "-" in ctext[1:]:

@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 
-from qsuperalg.superpoly import CoordSystem
+import pytest
+
+from qsuperalg import cli, operators
+from qsuperalg.superpoly import CoordSystem, FIELD_TOP, mono_pack
 from qsuperalg.operators import op_eq_on_basis
 from qsuperalg.algebra import build_root_data, build_quantum
 from qsuperalg.grammar import parse_opexpr
@@ -137,3 +140,29 @@ def test_weights_without_integer_mode_exit_2():
         assert out.returncode == 2, args
         assert "--weights needs --mode integer" in out.stderr
         assert out.stdout == ""
+
+
+def test_scalar_exponent_overflow_exits_2():
+    out = run_cli("verify", "--M", "1", "--N", "0", "--mode", "integer",
+                  "--weights", "40000,1", "--degree", "1")
+    assert out.returncode == 2
+    assert out.stderr == ("qsuperalg: error: exponents up to 40000 leave "
+                          "the packed field [-32767, 32767]\n")
+    assert out.stdout == ""
+
+
+def test_monomial_field_overflow_exits_2(monkeypatch, capsys):
+    # probe z(1,1) at the top of its exponent field, where x(1,1) steps
+    # past it; classical scalars carry no q exponent to overflow first
+    top = mono_pack(((0, FIELD_TOP),))
+    monkeypatch.setattr(operators, "basis_monomials",
+                        lambda cs, degree: iter((top,)))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--M", "1", "--N", "0", "--degree", "1",
+                  "--variant", "classical"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.err == ("qsuperalg: error: exponent %d of coordinate (1,1) "
+                       "leaves the monomial field [0, %d]\n"
+                       % (FIELD_TOP + 1, FIELD_TOP))
+    assert out.out == ""
