@@ -391,7 +391,8 @@ def _steps(ops):
                  for s in steps) or ((),)
 
 
-# the exponent step of each coordinate operator; 0 for a linear form's
+# the exponent step of each coordinate operator; a linear-form operator
+# steps by 0
 _SHIFT = {"x": 1, "D": -1, "d": -1}
 
 # the scalar each elementary operator multiplies in: a derivative's factor
