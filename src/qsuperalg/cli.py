@@ -137,7 +137,7 @@ def cmd_example_sl21(cfg, out):
     for mono in map(sp.mono_pack, probes):
         lhs = bracket.apply_monomial(mono)
         rhs = eigen.apply_monomial(mono)
-        agree = sp.poly_eq(lhs, rhs)
+        agree = lhs == rhs
         ok = ok and agree
         lines.append("on %-22s -> %s" % (sp.mono_render(cs, mono),
                                          sp.poly_render(cs, lhs)))

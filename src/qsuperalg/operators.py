@@ -29,8 +29,7 @@ shares it between both sides of every pair still being checked, and drops
 it once that monomial is done, so no image outlives its probe.  The
 witness is the one checking the pairs one by one would give; the cost is
 on the failure path, where the pairs after the failing one have already
-been probed on every monomial up to the failure.  ``apply`` opens one memo
-per input monomial.
+been probed on every monomial up to the failure.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
@@ -238,17 +237,6 @@ class OpExpr:
         return 0 if par is None else par
 
     # -- action -------------------------------------------------------------
-
-    def apply(self, poly):
-        """Exact action on a super-polynomial (dict monomial -> scalar).
-
-        Each input monomial is its own probe, with its own image memo.
-        """
-        out = {}
-        for mono, coeff in poly.items():
-            for m, c in self.apply_monomial(mono, coeff).items():
-                sp.poly_add_term(out, m, c)
-        return out
 
     def apply_monomial(self, mono, coeff=ONE, _memo=None):
         """Act on a single monomial with a scalar coefficient.
@@ -486,10 +474,11 @@ def first_failure(pairs, degree):
         memo = {}
         for k in range(live):
             a, b = pairs[k]
-            diff = sp.poly_sub(a.apply_monomial(mono, ONE, memo),
-                               b.apply_monomial(mono, ONE, memo))
-            if diff:
-                live, found = k, (k, mono, diff)
+            img_a = a.apply_monomial(mono, ONE, memo)
+            img_b = b.apply_monomial(mono, ONE, memo)
+            # no image stores a zero coefficient, so == is exact equality
+            if img_a != img_b:
+                live, found = k, (k, mono, sp.poly_sub(img_a, img_b))
                 break
         if not live:
             break

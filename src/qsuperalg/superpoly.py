@@ -29,8 +29,6 @@ The Grassmann derivative is the same step as the q-difference with
 
 from __future__ import annotations
 
-from .scalars import ONE
-
 FIELD_BITS = 16
 FIELD_TOP = (1 << FIELD_BITS) - 1
 MONO_ONE = 0
@@ -140,10 +138,6 @@ def mono_render(cs, mono):
 # polynomials: dict monomial -> RingElem, no zero coefficients stored
 # ---------------------------------------------------------------------------
 
-def poly_one():
-    return {MONO_ONE: ONE}
-
-
 def poly_add_term(poly, mono, coeff):
     """Accumulate coeff onto poly[mono] in place."""
     cur = poly.get(mono)
@@ -158,23 +152,11 @@ def poly_add_term(poly, mono, coeff):
             poly[mono] = s
 
 
-def poly_scale(a, c):
-    if c.is_zero():
-        return {}
-    return {mono: v * c for mono, v in a.items()}
-
-
 def poly_sub(a, b):
     out = dict(a)
     for mono, c in b.items():
         poly_add_term(out, mono, -c)
     return out
-
-
-def poly_eq(a, b):
-    if set(a) != set(b):
-        return False
-    return all(a[m] == b[m] for m in a)
 
 
 def poly_render(cs, a):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qsuperalg.scalars import qpow
-from qsuperalg.superpoly import MONO_ONE, poly_one, poly_eq
+from qsuperalg.superpoly import MONO_ONE
 from qsuperalg import algebra
 from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
 from qsuperalg.algebra import (build_root_data, build_quantum,
@@ -205,11 +205,10 @@ def test_q_one_limit_matches_classical_generators():
 def test_highest_weight_vector():
     for MN in [(1, 0), (1, 1)]:
         gens = build_quantum(build_root_data(*MN))
-        one = poly_one()
         for i in range(1, gens.data.K + 1):
-            assert gens.e[i].apply(one) == {}
-            assert poly_eq(gens.t[i].apply(one),
-                           {MONO_ONE: qpow(0, ((i, 1),))})
+            assert gens.e[i].apply_monomial(MONO_ONE) == {}
+            assert gens.t[i].apply_monomial(MONO_ONE) \
+                == {MONO_ONE: qpow(0, ((i, 1),))}
 
 
 # ---------------------------------------------------------------------------

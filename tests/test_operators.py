@@ -14,8 +14,7 @@ from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
 from qsuperalg import superpoly, verify
 from qsuperalg.algebra import build_quantum, build_root_data, build_xminus
 from qsuperalg.superpoly import (CoordSystem, MONO_ONE, mono_pack,
-                                 mono_pairs, poly_add_term, poly_eq,
-                                 poly_scale)
+                                 mono_pairs, poly_add_term)
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
                                  MixedParity, graded_commutator,
                                  basis_monomials, op_eq_on_basis)
@@ -120,9 +119,10 @@ def test_lazy_product_matches_sequential_application():
     num = OpExpr.term(CS, (("qnum", LinForm({Z: 1})),))
     prod = num @ x(Z) @ D(Z)
     mono = mono_pack(((Z, 2),))
-    step = D(Z).apply({mono: ONE})
-    step = x(Z).apply(step)
-    step = num.apply(step)
+    step = {mono: ONE}
+    for op in (D(Z), x(Z), num):
+        (m, c), = step.items()
+        step = op.apply_monomial(m, c)
     assert prod.apply_monomial(mono) == step
 
 
@@ -307,7 +307,8 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
                    for _, factors in flat.terms for f in factors)
     for mono in basis_monomials(cs, 3):
         img = tree.apply_monomial(mono, coeff)
-        assert poly_eq(img, poly_scale(flat.apply_monomial(mono), coeff)), \
+        assert img == {m: c * coeff
+                       for m, c in flat.apply_monomial(mono).items()}, \
             (tree.render(), mono)
 
 
@@ -328,10 +329,16 @@ def _unmemoised(op, poly):
     and elementary ones as single-factor operators, which keep no memo."""
     out = {}
     for tc, factors in op.terms:
-        cur = poly_scale(poly, tc)
+        cur = {m: c * tc for m, c in poly.items()}
         for f in reversed(factors):
-            cur = (_unmemoised(f, cur) if isinstance(f, OpExpr)
-                   else OpExpr.term(op.cs, (f,)).apply(cur))
+            if isinstance(f, OpExpr):
+                cur = _unmemoised(f, cur)
+                continue
+            step, nxt = OpExpr.term(op.cs, (f,)), {}
+            for m, c in cur.items():
+                for m2, c2 in step.apply_monomial(m, c).items():
+                    poly_add_term(nxt, m2, c2)
+            cur = nxt
         for m, c in cur.items():
             poly_add_term(out, m, c)
     return out
@@ -356,9 +363,8 @@ def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
         fresh = _unshared(op)
         for mono in basis_monomials(gens.cs, 3):
             img = op.apply_monomial(mono, coeff)
-            assert poly_eq(img, fresh.apply_monomial(mono, coeff)), \
-                (name, mono)
-            assert poly_eq(img, _unmemoised(op, {mono: coeff})), (name, mono)
+            assert img == fresh.apply_monomial(mono, coeff), (name, mono)
+            assert img == _unmemoised(op, {mono: coeff}), (name, mono)
 
 
 def test_returned_image_is_not_shared_with_later_calls():
@@ -369,7 +375,7 @@ def test_returned_image_is_not_shared_with_later_calls():
     assert want
     for _ in range(2):
         img = op.apply_monomial(mono)
-        assert poly_eq(img, want)
+        assert img == want
         for m in img:
             img[m] = MINUS_ONE
         img[MONO_ONE] = ONE

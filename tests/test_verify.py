@@ -5,9 +5,10 @@ import json
 import pytest
 
 from qsuperalg import verify
-from qsuperalg.scalars import qpow
+from qsuperalg.scalars import RingElem, qpow
 from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
 from qsuperalg.operators import OpExpr, op_eq_on_basis
+from qsuperalg.grammar import parse_opexpr
 from qsuperalg.algebra import build_root_data, build_quantum, build_classical
 from qsuperalg.verify import (run_full, check_cartan_relations,
                               check_aux, check_weight_conjugation,
@@ -156,6 +157,27 @@ def test_weight_conjugation_and_heisenberg_standalone():
     assert all(r.status == "pass"
                for r in check_heisenberg(gens.cs, 4))
     assert all(r.status == "pass" for r in check_highest_weight(gens))
+
+
+def test_highest_weight_witness_uses_the_common_format():
+    def witness(gens):
+        (result,) = check_highest_weight(gens)
+        assert (result.status, result.instances) == ("fail", 6)
+        return result.witness
+
+    data = build_root_data(1, 1)
+    # the listing's t1 with the sign of its L(1) term flipped
+    gens = build_quantum(data)
+    text = gens.t[1].render()
+    assert text.count("+L(1)") == 1
+    gens.t[1] = parse_opexpr(text.replace("+L(1)", "-L(1)"), gens.cs)
+    assert witness(gens) == "t_1 at monomial 1: residual (-Q1^{1} + Q1^{-1})"
+    gens = build_classical(data)
+    gens.t[1] = gens.t[1].scale(RingElem.from_rational(2))
+    assert witness(gens) == "h_1 at monomial 1: residual Q1^{1}"
+    gens = build_quantum(data)
+    gens.e[1] = gens.e[1] + OpExpr.identity(gens.cs)
+    assert witness(gens) == "e_1 at monomial 1: residual 1"
 
 
 def test_aux_suites_standalone_classical():
