@@ -18,18 +18,41 @@ were written, and equality of operators is extensional (action on a
 degree-bounded monomial basis).
 
 The same nested node (a root vector, its powers, a generator inside every
-bracket) is reached many times with the same monomial, within one
-operator and across every instance of a relation suite.  Evaluation
-therefore keeps a memo of each nested factor's image of a monomial with
-coefficient 1, keyed by (node, monomial), and scales that image by the
-incoming coefficient on every later visit.  The memo lives for one
-basis-monomial probe: ``first_failure``, the one probe loop, takes the
-basis monomial as its outer loop, opens a fresh memo for each monomial,
-shares it between both sides of every pair still being checked, and drops
-it once that monomial is done, so no image outlives its probe.  The
-witness is the one checking the pairs one by one would give; the cost is
-on the failure path, where the pairs after the failing one have already
-been probed on every monomial up to the failure.
+bracket) is reached many times, within one operator, across every
+instance of a relation suite and across the basis monomials.  Evaluation
+therefore keeps a memo of each nested factor's image with coefficient 1
+and scales that image by the incoming coefficient on every visit.  One
+memo serves one check: ``first_failure``, the one probe loop, opens it,
+shares it between both sides of every pair on every basis monomial, and
+drops it when it returns, so no image outlives the call.
+
+A node's image depends only on the part of the monomial in its support,
+so the memo is keyed by that part.  Each node carries a support mask,
+computed once when it is built: the fields of every coordinate it steps
+(x, D, d) or whose exponent one of its linear forms reads, its nested
+factors' included.  The image of r = m & mask is kept under (node, r),
+and the image of m is rebuilt from it with u = m - r: each term (m2, c)
+of it becomes (m2 + u, +-c), and the sign is -1 exactly when
+P(u) & (m2 ^ r) has an odd bit count, P(u) (``_passed_odd``) having the
+low bit of each odd field p set when an odd number of u's odd coordinates
+lie before p.  This is exact:
+
+  * a range check, a derivative's factor and a form's value read only
+    support fields, which u leaves alone, so the same paths survive with
+    the same scalars;
+  * a step at an odd position p passes every odd coordinate before p:
+    along a path from m these are the current support part's and u's, so
+    u adds the factor -1 to each such step exactly when P(u) has p's bit;
+  * along any path the number of steps at an odd p has the parity of p's
+    exponent change, which is bit p of m2 ^ r.
+
+The memo stores each image as a flat (m, c, m, c, ...) tuple in a dict per
+node keyed by r, and takes every monomial and coefficient it stores from
+one pool per memo, so a value many images hold is kept once; the pool is
+dropped with the memo.  The witness is the one checking the pairs one by
+one would give; the cost is on the failure path, where the pairs after
+the failing one have already been probed on every monomial up to the
+failure.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
@@ -150,7 +173,7 @@ class OpExpr:
     for deeply nested commutators.
     """
 
-    __slots__ = ("cs", "terms", "_plan")
+    __slots__ = ("cs", "terms", "_plan", "_mask")
 
     def __init__(self, cs, terms):
         self.cs = cs
@@ -158,6 +181,7 @@ class OpExpr:
         # a unit term coefficient is stored as None: nothing to multiply
         self._plan = tuple((None if c.is_one() else c, _steps(ops))
                            for c, ops in self.terms)
+        self._mask = _support(self.terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -241,16 +265,18 @@ class OpExpr:
     def apply_monomial(self, mono, coeff=ONE, _memo=None):
         """Act on a single monomial with a scalar coefficient.
 
-        A nested factor's image of a monomial is computed once per probe
-        with coefficient 1 and kept in ``_memo`` under (node, monomial);
-        every visit scales that image by the coefficient it carries.
-        ``_memo`` is private: a caller that probes one monomial with
-        several operators passes one dict to all of them, anything else
-        leaves it out and gets a fresh one.  Only nested factors' images
-        are kept, so the caller owns the returned dict.
+        A nested factor's image is computed with coefficient 1 and kept in
+        ``_memo`` under the node and the monomial's part in the node's
+        support; every visit rebuilds the image of its own monomial from
+        it and scales that by the coefficient it carries (see the module
+        docstring).  ``_memo`` is private: an (images, pool) pair of dicts
+        that a caller checking several operators on several monomials
+        passes to every call, while anything else leaves it out and gets a
+        fresh one.  Only nested factors' images are kept, as tuples, so
+        the caller owns the returned dict.
         """
         if _memo is None:
-            _memo = {}
+            _memo = ({}, {})
         cs = self.cs
         out = {}
         if coeff.is_zero():
@@ -296,22 +322,39 @@ class OpExpr:
                             else:
                                 nxt[m] = c
                 else:
+                    images, pool = _memo
+                    seen = images.get(step)
+                    if seen is None:
+                        seen = images[step] = {}
+                    mask = step._mask
+                    odd = mask & cs.odd_low
                     for m, c in poly.items():
-                        img = _memo.get((step, m))
+                        r = m & mask
+                        img = seen.get(r)
                         if img is None:
-                            img = _memo[step, m] = step.apply_monomial(
-                                m, ONE, _memo)
+                            img = seen[r] = _stored(
+                                step.apply_monomial(r, ONE, _memo), pool)
+                        # the image of m is that of r moved by u, with
+                        # the Koszul signs u adds (see the module docstring)
+                        u = m - r
+                        flip = (_passed_odd(cs, u) & odd
+                                if odd and u & cs.odd_low else 0)
                         # an image scaled by +-1 is added or subtracted
                         neg = c == MINUS_ONE
                         unit = neg or c.is_one()
-                        for m2, c2 in img.items():
+                        it = iter(img)
+                        for m2, c2 in zip(it, it):
                             if not unit:
                                 c2 = c2 * c
+                            sub = neg
+                            if flip and ((m2 ^ r) & flip).bit_count() & 1:
+                                sub = not neg
+                            m2 += u
                             cur = nxt.get(m2)
                             if cur is None:
-                                nxt[m2] = -c2 if neg else c2
+                                nxt[m2] = -c2 if sub else c2
                             else:
-                                c2 = cur - c2 if neg else cur + c2
+                                c2 = cur - c2 if sub else cur + c2
                                 if c2.is_zero():
                                     del nxt[m2]
                                 else:
@@ -358,6 +401,43 @@ class OpExpr:
 
     def __repr__(self):
         return "OpExpr(%s)" % self.render()
+
+
+def _support(terms):
+    """The support mask: every field of a coordinate that the terms step
+    or whose exponent one of their linear forms reads, nested factors
+    included."""
+    mask = 0
+    for _, ops in terms:
+        for op in ops:
+            if isinstance(op, OpExpr):
+                mask |= op._mask
+            elif op[0] in _SHIFT:
+                mask |= sp.FIELD_TOP << sp.FIELD_BITS * op[1]
+            else:
+                for shift, _ in op[1]._fields:
+                    mask |= sp.FIELD_TOP << shift
+    return mask
+
+
+def _passed_odd(cs, u):
+    """The low bit of each odd field p whose position has an odd number
+    of u's odd coordinates before it: the Koszul sign that u adds to a
+    step at p.  A prefix XOR over the fields, doubling its reach."""
+    y = (u & cs.odd_low) << sp.FIELD_BITS
+    reach, top = sp.FIELD_BITS, sp.FIELD_BITS * cs.ncoords
+    while reach < top:
+        y ^= y << reach
+        reach <<= 1
+    return y & cs.odd_low
+
+
+def _stored(img, pool):
+    """An image as the flat tuple (m, c, m, c, ...) the memo keeps, each
+    monomial and coefficient taken from the memo's pool, so that a value
+    is stored once however many images hold it."""
+    intern = pool.setdefault
+    return tuple([intern(x, x) for item in img.items() for x in item])
 
 
 def _steps(ops):
@@ -457,11 +537,12 @@ def first_failure(pairs, degree):
     monomial is its first failing one in canonical order and the residual
     is lhs - rhs there.  This is the witness checking the pairs one after
     another gives, but the basis monomial is the outer loop: each monomial
-    is one probe with one memo, shared by every pair still being checked
-    and dropped with the probe.  A failure of pair k stops the checks of
-    pairs >= k; pairs before k go on to later monomials, where a failure
-    replaces the witness, so pairs after the first failing one have been
-    probed on every monomial up to its failure.
+    is one probe of every pair still being checked, and one memo of
+    nested images serves every probe of the call and is dropped when it
+    returns.  A failure of pair k stops the checks of pairs >= k; pairs
+    before k go on to later monomials, where a failure replaces the
+    witness, so pairs after the first failing one have been probed on
+    every monomial up to its failure.
     """
     if not pairs:
         return None
@@ -469,9 +550,8 @@ def first_failure(pairs, degree):
     for a, b in pairs:
         pairs[0][0]._check(a)
         a._check(b)
-    live, found = len(pairs), None
+    live, found, memo = len(pairs), None, ({}, {})
     for mono in basis_monomials(cs, degree):
-        memo = {}
         for k in range(live):
             a, b = pairs[k]
             img_a = a.apply_monomial(mono, ONE, memo)

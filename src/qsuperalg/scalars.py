@@ -244,7 +244,34 @@ class RingElem:
         return _canonical(n, k, bound, None)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self - other without negating a copy of other: the lower-k side
+        is lifted as in ``__add__``."""
+        a, b = self._n, other._n
+        if not b:
+            return self
+        if not a:
+            return -other
+        d = self._k - other._k
+        hi, lo = (self, other) if d >= 0 else (other, self)
+        k, dd = hi._k, abs(d)
+        bound = max(hi._b, lo._b + 2 * dd)
+        if bound > LIMIT:
+            bound = _fit(max(_exact_bound(hi._n),
+                             _exact_bound(lo._n) + 2 * dd))
+        if d < 0:
+            n = _lift(a, dd)
+        else:
+            n, b = dict(a), _lift(b, dd)
+        get = n.get
+        for key, c in b.items():
+            c2 = get(key, 0) - c
+            if c2:
+                n[key] = c2
+            else:
+                del n[key]
+        if d:
+            return RingElem(n, k, bound, getattr(hi, "_v", None))
+        return _canonical(n, k, bound, None)
 
     def __neg__(self):
         return RingElem({key: -c for key, c in self._n.items()},

@@ -46,7 +46,7 @@ class CoordSystem:
     """The coordinate chart for a fixed (M, N): index maps and parities."""
 
     __slots__ = ("M", "N", "K", "coords", "pos", "odd", "ncoords",
-                 "sign_mask")
+                 "sign_mask", "odd_low")
 
     def __init__(self, M, N):
         if M < 0 or N < 0:
@@ -63,6 +63,9 @@ class CoordSystem:
         self.sign_mask = tuple(
             sum(1 << FIELD_BITS * q for q in range(p) if self.odd[q])
             if odd else 0 for p, odd in enumerate(self.odd))
+        # the low bit of every odd field
+        self.odd_low = sum(1 << FIELD_BITS * p
+                           for p, odd in enumerate(self.odd) if odd)
 
     def __eq__(self, other):
         return isinstance(other, CoordSystem) and (self.M, self.N) == (other.M, other.N)

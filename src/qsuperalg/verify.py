@@ -9,13 +9,15 @@ the full residual polynomial are recorded as a witness.
 A suite is checked one basis monomial at a time
 (``operators.first_failure``): each monomial is one probe, every instance
 still being checked is applied to it in order, and one image memo is
-shared by all of them and dropped after the probe.  A root vector that
-several instances contain is thus evaluated once per monomial, not once
-per instance.  The suites read the root vectors from one table
-(``algebra.root_vectors``), whose X(l,m) is built on the very X(l,m-1)
-node, so these shared nodes are the same objects.  A failing suite pays
-for this: the instances after the failing one have already been probed on
-every monomial up to the failure.
+shared by every instance on every probe and dropped when the suite's
+check returns.  The memo keys a nested node's image by the monomial's
+part in the node's support, so a root vector that several instances
+contain is evaluated once for all the monomials that agree on its
+support, not once per instance or per monomial.  The suites read the
+root vectors from one table (``algebra.root_vectors``), whose X(l,m) is
+built on the very X(l,m-1) node, so these shared nodes are the same
+objects.  A failing suite pays for this: the instances after the failing
+one have already been probed on every monomial up to the failure.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
@@ -153,12 +155,12 @@ class _Deformation:
 def _run(tag, degree, instances):
     """Check each (label, lhs, rhs) instance of one relation family.
 
-    Every instance is counted.  The basis monomial is the outer loop: one
-    memo per probe is shared by every instance still being checked and
-    dropped after it.  The witness is the first failing monomial of the
-    first failing instance, as checking the instances one after another
-    would give; on the way, instances after the failing one have been
-    probed on every monomial up to its failure.
+    Every instance is counted.  The basis monomial is the outer loop, and
+    one memo of nested images is shared by every instance on every probe
+    and dropped when the check returns.  The witness is the first failing
+    monomial of the first failing instance, as checking the instances one
+    after another would give; on the way, instances after the failing one
+    have been probed on every monomial up to its failure.
     """
     t0 = time.monotonic()
     instances = list(instances)

@@ -1,6 +1,6 @@
 """Tests for operator expressions: elementary actions, sums and products
 with nested factors, parity bookkeeping, extensional equality and the
-per-probe memo of nested images."""
+memo of nested images that one check shares."""
 
 import gc
 import types
@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
                                qnum)
-from qsuperalg import superpoly, verify
-from qsuperalg.algebra import build_quantum, build_root_data, build_xminus
+from qsuperalg import operators, superpoly, verify
+from qsuperalg.algebra import (build_classical, build_quantum,
+                               build_root_data, build_xminus, root_vectors)
 from qsuperalg.superpoly import (CoordSystem, MONO_ONE, mono_pack,
                                  mono_pairs, poly_add_term)
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
@@ -313,7 +314,7 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
 
 
 # ---------------------------------------------------------------------------
-# the per-probe image memo
+# the image memo: support-restricted keys, one memo per check
 # ---------------------------------------------------------------------------
 
 def _unshared(op):
@@ -348,23 +349,84 @@ def _shared_node_operators(gens):
     """Operators in which one node object occurs at several depths."""
     f, X = gens.f[2], gens.f[1]               # X = X(1,1) is even
     Y = build_xminus(gens, 1, 2)              # nests f_1 and f_2 again
-    return {"f X^3": f @ X.power(3),
-            "[X, X^2]_q": graded_commutator(X, X.power(2), qpow(1)),
-            "X f X": X @ f @ X,
-            "[f, Y] X": graded_commutator(f, Y) @ X}
+    ops = {"f X^3": f @ X.power(3),
+           "[X, X^2]_q": graded_commutator(X, X.power(2), qpow(1)),
+           "X f X": X @ f @ X,
+           "[f, Y] X": graded_commutator(f, Y) @ X}
+    if gens.data.K >= 3:
+        rv = root_vectors(gens)               # X(2,3) nests X(3,3) = f_3
+        ops["X(2,3) X(3,3)"] = rv[2, 3] @ rv[3, 3]
+    return ops
 
 
-@pytest.mark.parametrize("MN", [(1, 0), (1, 1)], ids=["(1,0)", "(1,1)"])
+def _fields(cs, mask):
+    return {p for p in range(cs.ncoords)
+            if mask >> superpoly.FIELD_BITS * p & superpoly.FIELD_TOP}
+
+
+def _skips_an_odd_coordinate(cs, node):
+    """Whether the node's support leaves out an odd coordinate that lies
+    between two odd coordinates it touches: a monomial holding it gets a
+    Koszul sign on the node's steps that the node's memo key cannot see."""
+    support = _fields(cs, node._mask)
+    touched = [p for p in sorted(support) if cs.odd[p]]
+    return bool(touched) and any(cs.odd[p] and p not in support
+                                 for p in range(touched[0], touched[-1]))
+
+
+def _nested_nodes(op):
+    for _, factors in op.terms:
+        for f in factors:
+            if isinstance(f, OpExpr):
+                yield f
+                yield from _nested_nodes(f)
+
+
+@pytest.mark.parametrize("MN", [(1, 0), (1, 1), (2, 1), (1, 2)],
+                         ids=["(1,0)", "(1,1)", "(2,1)", "(1,2)"])
 def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
     gens = build_quantum(build_root_data(*MN))
+    cs = gens.cs
+    ops = _shared_node_operators(gens)
+    if cs.K >= 4:
+        assert any(_skips_an_odd_coordinate(cs, node)
+                   for op in ops.values() for node in _nested_nodes(op))
     # a (q - q^-1) denominator and the weight marker Q1
     coeff = RingElem.monomial(1, ((1, 1),)) * (ONE / Q_MINUS_QINV)
-    for name, op in _shared_node_operators(gens).items():
+    # one memo for every monomial and operator, as in a suite check
+    memo = ({}, {})
+    for name, op in ops.items():
         fresh = _unshared(op)
-        for mono in basis_monomials(gens.cs, 3):
+        for mono in basis_monomials(cs, 3):
             img = op.apply_monomial(mono, coeff)
+            assert img == op.apply_monomial(mono, coeff, memo), (name, mono)
             assert img == fresh.apply_monomial(mono, coeff), (name, mono)
             assert img == _unmemoised(op, {mono: coeff}), (name, mono)
+
+
+def test_support_mask_of_e1_is_its_one_field():
+    gens = build_quantum(build_root_data(2, 1))
+    assert gens.e[1]._mask == \
+        superpoly.FIELD_TOP << superpoly.FIELD_BITS * gens.cs.pos[1, 1]
+
+
+def test_support_mask_of_the_identity_is_empty():
+    assert OpExpr.identity(CS)._mask == 0
+    assert OpExpr.identity(CoordSystem(2, 1))._mask == 0
+
+
+def test_support_mask_of_a_nested_node_is_the_union_of_its_factors():
+    gens = build_quantum(build_root_data(2, 1))
+    f1, f2 = gens.f[1], gens.f[2]
+    X = build_xminus(gens, 1, 2)              # [f_2, f_1]_q
+    assert X._mask == f1._mask | f2._mask
+    assert X._mask != f1._mask and X._mask != f2._mask
+    s = x(Z) + D(Z)
+    op = x(T1) @ s @ D(T2)
+    assert op._mask == s._mask | x(T1)._mask | D(T2)._mask
+    # a linear form's coordinates are read, so they are in the support
+    lf = LinForm({T2: 1}, 1)
+    assert OpExpr.term(CS, (("qpow", lf),))._mask == D(T2)._mask
 
 
 def test_returned_image_is_not_shared_with_later_calls():
@@ -381,17 +443,24 @@ def test_returned_image_is_not_shared_with_later_calls():
         img[MONO_ONE] = ONE
 
 
-def _auxq41(monkeypatch):
-    """The AuxQ41 instances at (1,1), nmax 3, exactly as check_aux states
-    them."""
-    gens = build_quantum(build_root_data(1, 1))
+def _suite_instances(monkeypatch, check, *args):
+    """The instances of each suite that check(*args) states, by tag,
+    exactly as it states them."""
     suites = {}
     with monkeypatch.context() as mp:
         mp.setattr(verify, "_run",
                    lambda tag, degree, instances:
                    suites.setdefault(tag, list(instances)))
-        verify.check_aux(gens, 3, nmax=3)
-    return suites["AuxQ41"]
+        check(*args)
+    return suites
+
+
+def _auxq41(monkeypatch):
+    """The AuxQ41 instances at (1,1), nmax 3, exactly as check_aux states
+    them."""
+    gens = build_quantum(build_root_data(1, 1))
+    return _suite_instances(monkeypatch, verify.check_aux, gens, 3,
+                            3)["AuxQ41"]
 
 
 def _auxq41_n3(monkeypatch):
@@ -447,13 +516,15 @@ def _count_koszul_calls(monkeypatch):
 def test_auxq41_work_count(monkeypatch):
     """Koszul-layer calls for AuxQ41 (n=3) at (1,1), degree 3.
 
-    Without the image memo this instance made 4184 such steps; with it, a
-    nested node's image of a monomial is computed once per probe.
+    Without the image memo this instance made 4184 such steps, and with a
+    memo per basis monomial 2642.  With one memo for the whole check, keyed
+    by the part of the monomial in the node's support, a nested node's
+    image is computed once for every monomial that agrees on its support.
     """
     lhs, rhs = _auxq41_n3(monkeypatch)
     calls = _count_koszul_calls(monkeypatch)
     assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
-    assert calls[0] == 2642
+    assert calls[0] == 497
     assert calls[0] < 4184
 
 
@@ -461,17 +532,37 @@ def test_weight_conjugation_work_count(monkeypatch):
     """Koszul-layer calls for WeightConj at (1,1), quantum, degree 3.
 
     Checked one instance after another, each with a memo of its own and
-    X(l,m) built again for every i, the suite made 14736 such steps.
-    With one memo per probe shared by every instance, and the root vectors
-    read from one table, a root vector's image of a monomial is computed
-    once per probe for the whole suite.
+    X(l,m) built again for every i, the suite made 14736 such steps, and
+    with one memo per basis monomial shared by every instance 3114.  With
+    one memo for the whole suite, keyed by the part of the monomial in the
+    node's support, and the root vectors read from one table, a root
+    vector's image is computed once for every monomial that agrees on its
+    support, for the whole suite.
     """
     gens = build_quantum(build_root_data(1, 1))
     calls = _count_koszul_calls(monkeypatch)
     results = verify.check_weight_conjugation(gens, 3)
     assert [r.status for r in results] == ["pass"]
-    assert calls[0] == 3114
+    assert calls[0] == 546
     assert calls[0] < 14736
+
+
+def test_serre_memo_miss_count(monkeypatch):
+    """Nested-node evaluations (memo misses) for CSerreA at (2,1),
+    classical, degree 3.  Each miss stores one image, so this is the
+    number of images the suite's one memo holds at the end."""
+    gens = build_classical(build_root_data(2, 1))
+    instances = _suite_instances(monkeypatch, verify.check_serre, gens,
+                                 3)["CSerreA"]
+    stored = [0]
+    store = operators._stored
+
+    def counted(img, pool):
+        stored[0] += 1
+        return store(img, pool)
+    monkeypatch.setattr(operators, "_stored", counted)
+    assert verify._run("CSerreA", 3, instances).status == "pass"
+    assert stored[0] == 2510
 
 
 def test_negative_degree_is_rejected():

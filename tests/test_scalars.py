@@ -373,6 +373,18 @@ def test_arithmetic_matches_exact_evaluation(a, b, c, j):
     assert _same((a * s) / s, a)
 
 
+@given(_ELEM, _ELEM, st.sampled_from((1, -1, Fraction(1, 2),
+                                      Fraction(-5, 3))))
+@settings(max_examples=150, deadline=None)
+def test_difference_is_the_sum_with_the_negation(a, b, r):
+    # either side may carry the higher k; markers come from _NUMER and
+    # Fraction coefficients from r
+    a, b = _elem(*a) * RingElem.from_rational(r), _elem(*b)
+    for x, y in ((a, b), (b, a), (a, a), (a, ZERO), (ZERO, b)):
+        assert _same(x - y, x + (-y))
+        assert _is_canonical(x - y)
+
+
 def test_sums_that_cancel_a_denominator():
     # (q^2 - 1)/(q - q^-1)^2 = q^2/(q^2 - 1): two terms over k = 2 leave k = 1
     x = qpow(2) / Q_MINUS_QINV ** 2
