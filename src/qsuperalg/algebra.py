@@ -75,9 +75,19 @@ def build_root_data(M, N):
 
 
 class GeneratorSet:
-    """One realization: maps i -> t_i (or h_i), e_i, f_i as operators."""
+    """One realization: maps i -> t_i (or h_i), e_i, f_i as operators.
 
-    __slots__ = ("data", "cs", "variant", "weights", "t", "e", "f", "t_form")
+    The set also owns the evaluation state its relation checks share: the
+    image memo that every ``verify.check_*`` taking the set passes to the
+    probe loop, created here, and the root-vector table, built on the first
+    call of :func:`root_vectors`.  A nested node's image is keyed by the
+    node and the monomial's part in its support, so it is exact at any
+    degree, and a root vector's image computed by one suite serves every
+    later one.  Both live exactly as long as the set.
+    """
+
+    __slots__ = ("data", "cs", "variant", "weights", "t", "e", "f", "t_form",
+                 "_memo", "_roots")
 
     def __init__(self, data, cs, variant, weights, t, e, f, t_form):
         self.data = data
@@ -88,6 +98,8 @@ class GeneratorSet:
         self.e = e
         self.f = f
         self.t_form = t_form  # dict i -> LinForm (exponent of t_i / value of h_i)
+        self._memo = ({}, {})   # (images, pool), see operators.first_failure
+        self._roots = None      # the root_vectors table, once built
 
     @property
     def quantum(self):
@@ -284,11 +296,16 @@ def root_vectors(gens):
     """Every root vector X(l,m) of the generator set, keyed by (l, m).
 
     Each X(l,m) is the bracket of build_xminus taken on the table's own
-    X(l,m-1), so one node object stands for X(l,m-1) in all of them and a
-    probe's memo evaluates it once per monomial.
+    X(l,m-1), so one node object stands for X(l,m-1) in all of them.  The
+    table is built on the first call and the same one is returned on every
+    later call, so every suite reads the same nodes, and the set's memo
+    evaluates each of them once per part of a monomial in its support, for
+    all the suites together.
     """
-    return {(l, m): x for l in range(1, gens.data.K + 1)
-            for m, x in enumerate(_xminus_chain(gens, l), l)}
+    if gens._roots is None:
+        gens._roots = {(l, m): x for l in range(1, gens.data.K + 1)
+                       for m, x in enumerate(_xminus_chain(gens, l), l)}
+    return gens._roots
 
 
 def _xminus_chain(gens, l):

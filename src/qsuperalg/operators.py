@@ -22,9 +22,13 @@ bracket) is reached many times, within one operator, across every
 instance of a relation suite and across the basis monomials.  Evaluation
 therefore keeps a memo of each nested factor's image with coefficient 1
 and scales that image by the incoming coefficient on every visit.  One
-memo serves one check: ``first_failure``, the one probe loop, opens it,
-shares it between both sides of every pair on every basis monomial, and
-drops it when it returns, so no image outlives the call.
+memo serves one generator set: ``first_failure``, the one probe loop,
+shares the memo it is given between both sides of every pair on every
+basis monomial, and every check of a ``GeneratorSet`` gives it the set's
+memo, so the memo lives exactly as long as the set.  A call given no memo
+opens a fresh one and drops it when it returns.  An image is keyed by its
+node and a part of a monomial, not by the degree bound, so it is exact in
+every check that reaches it.
 
 A node's image depends only on the part of the monomial in its support,
 so the memo is keyed by that part.  Each node carries a support mask,
@@ -46,13 +50,28 @@ lie before p.  This is exact:
   * along any path the number of steps at an odd p has the parity of p's
     exponent change, which is bit p of m2 ^ r.
 
+Nothing in this argument needs the mask to be the node's own: any mask
+that contains the node's support serves.  So the same rule decides a pair
+(a, b) on most monomials without probing it.  Let J be the union of the
+two sides' masks, m a basis monomial, r = m & J and u = m - r:
+
+  * each side's image at m is T_u of its image at r, where T_u maps each
+    term (m2, c) to (m2 + u, +-c) and the sign depends only on
+    P(u) & (m2 ^ r); T_u is one injective map for both sides, so the pair
+    agrees at m if and only if it agrees at r;
+  * when r != m, r is a basis monomial of lower degree, so the probe loop
+    reached it before m, while the pair was still being checked (a pair
+    that stops being checked never starts again);
+  * so ``first_failure`` probes a pair only on the monomials inside its
+    joint support, m & J == m, and a pair's first failure, the witness,
+    always lies among them.
+
 The memo stores each image as a flat (m, c, m, c, ...) tuple in a dict per
 node keyed by r, and takes every monomial and coefficient it stores from
-one pool per memo, so a value many images hold is kept once; the pool is
-dropped with the memo.  The witness is the one checking the pairs one by
-one would give; the cost is on the failure path, where the pairs after
-the failing one have already been probed on every monomial up to the
-failure.
+one pool per memo, so a value many images hold is kept once; the pool
+lives and dies with the memo.  The witness is the one checking the pairs
+one by one would give; the cost is on the failure path, where the pairs
+after the failing one have already been probed up to the failure.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
@@ -529,7 +548,7 @@ def _monos_of_degree(cs, pos, remaining, acc):
         yield from _monos_of_degree(cs, pos + 1, remaining - e, tail)
 
 
-def first_failure(pairs, degree):
+def first_failure(pairs, degree, _memo=None):
     """The first failing (lhs, rhs) pair on the monomials of degree <= degree.
 
     Returns None when every pair agrees on every basis monomial, else
@@ -537,12 +556,17 @@ def first_failure(pairs, degree):
     monomial is its first failing one in canonical order and the residual
     is lhs - rhs there.  This is the witness checking the pairs one after
     another gives, but the basis monomial is the outer loop: each monomial
-    is one probe of every pair still being checked, and one memo of
-    nested images serves every probe of the call and is dropped when it
-    returns.  A failure of pair k stops the checks of pairs >= k; pairs
-    before k go on to later monomials, where a failure replaces the
-    witness, so pairs after the first failing one have been probed on
-    every monomial up to its failure.
+    is one probe of every pair still being checked.  A pair is probed only
+    on the monomials inside its joint support, since its verdict anywhere
+    else is that of a monomial probed before (see the module docstring).
+    A failure of pair k stops the checks of pairs >= k; pairs before k go
+    on to later monomials, where a failure replaces the witness, so pairs
+    after the first failing one have been probed up to its failure.
+
+    ``_memo`` is private, as in ``apply_monomial``: the (images, pool)
+    memo of nested images that every probe of the call shares.  A
+    generator set passes its own, so that one memo serves all its checks;
+    without one the call opens a fresh memo, dropped when it returns.
     """
     if not pairs:
         return None
@@ -550,9 +574,13 @@ def first_failure(pairs, degree):
     for a, b in pairs:
         pairs[0][0]._check(a)
         a._check(b)
-    live, found, memo = len(pairs), None, ({}, {})
+    memo = ({}, {}) if _memo is None else _memo
+    joint = [a._mask | b._mask for a, b in pairs]
+    live, found = len(pairs), None
     for mono in basis_monomials(cs, degree):
         for k in range(live):
+            if mono & joint[k] != mono:
+                continue
             a, b = pairs[k]
             img_a = a.apply_monomial(mono, ONE, memo)
             img_b = b.apply_monomial(mono, ONE, memo)

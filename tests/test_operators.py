@@ -1,8 +1,9 @@
 """Tests for operator expressions: elementary actions, sums and products
 with nested factors, parity bookkeeping, extensional equality and the
-memo of nested images that one check shares."""
+memo of nested images that one generator set shares."""
 
 import gc
+import sys
 import types
 from fractions import Fraction
 
@@ -15,10 +16,11 @@ from qsuperalg import operators, superpoly, verify
 from qsuperalg.algebra import (build_classical, build_quantum,
                                build_root_data, build_xminus, root_vectors)
 from qsuperalg.superpoly import (CoordSystem, MONO_ONE, mono_pack,
-                                 mono_pairs, poly_add_term)
+                                 mono_pairs, poly_add_term, poly_sub)
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
                                  MixedParity, graded_commutator,
-                                 basis_monomials, op_eq_on_basis)
+                                 basis_monomials, first_failure,
+                                 op_eq_on_basis)
 
 
 CS = CoordSystem(1, 0)          # coords: z(1,1), th(1,2), th(2,2)
@@ -314,7 +316,7 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
 
 
 # ---------------------------------------------------------------------------
-# the image memo: support-restricted keys, one memo per check
+# the image memo: support-restricted keys, one memo per generator set
 # ---------------------------------------------------------------------------
 
 def _unshared(op):
@@ -443,13 +445,81 @@ def test_returned_image_is_not_shared_with_later_calls():
         img[MONO_ONE] = ONE
 
 
+def _reference_first_failure(pairs, degree):
+    """The pairs checked one after another, each on every basis monomial
+    in canonical order, with no memo and no support skip."""
+    for k, (a, b) in enumerate(pairs):
+        for mono in basis_monomials(a.cs, degree):
+            img_a = _unmemoised(a, {mono: ONE})
+            img_b = _unmemoised(b, {mono: ONE})
+            if img_a != img_b:
+                return k, mono, poly_sub(img_a, img_b)
+    return None
+
+
+def _pair_lists(cs):
+    """Lists of (lhs, rhs) pairs: a tree against its multiplied-out form,
+    which agree everywhere, or two unrelated trees, which mostly do not."""
+    agreeing = _pairs(cs)
+    unrelated = st.tuples(_pairs(cs), _pairs(cs)).map(
+        lambda ab: (ab[0][0], ab[1][0]))
+    return st.lists(st.one_of(agreeing, unrelated), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("cs", [CoordSystem(1, 1), CoordSystem(2, 1)],
+                         ids=["(1,1)", "(2,1)"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
+    """first_failure probes a pair only inside its joint support and may
+    share one memo across calls, as a generator set's checks do; both
+    leave its answer that of the plain pair-by-pair loop."""
+    memo = ({}, {})
+    for _ in range(2):
+        pairs = data.draw(_pair_lists(cs))
+        degree = data.draw(st.integers(0, 3))
+        want = _reference_first_failure(pairs, degree)
+        assert first_failure(pairs, degree) == want
+        assert first_failure(pairs, degree, memo) == want
+
+
+def _count_top_level_applies(monkeypatch):
+    """Count the ``apply_monomial`` calls not made inside another one,
+    the probe loop's own, from now on.  The returned list holds the
+    running total."""
+    calls, depth = [0], [0]
+    apply = OpExpr.apply_monomial
+
+    def counted(self, *args):
+        if not depth[0]:
+            calls[0] += 1
+        depth[0] += 1
+        try:
+            return apply(self, *args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(OpExpr, "apply_monomial", counted)
+    return calls
+
+
+def test_heisenberg_probes_each_pair_inside_its_support(monkeypatch):
+    """Heis at (2,1), degree 3: 30 instances, each on one coordinate.
+    Probing all 220 basis monomials took 13,200 calls; inside its support
+    an instance sees 4 monomials on an even coordinate (x^0 .. x^3) and 2
+    on an odd one, and (2,1) has 4 even and 6 odd coordinates."""
+    calls = _count_top_level_applies(monkeypatch)
+    results = verify.check_heisenberg(CoordSystem(2, 1), 3)
+    assert [r.status for r in results] == ["pass"]
+    assert calls[0] == 2 * 3 * (4 * 4 + 6 * 2) == 168
+
+
 def _suite_instances(monkeypatch, check, *args):
     """The instances of each suite that check(*args) states, by tag,
     exactly as it states them."""
     suites = {}
     with monkeypatch.context() as mp:
         mp.setattr(verify, "_run",
-                   lambda tag, degree, instances:
+                   lambda tag, degree, instances, *_:
                    suites.setdefault(tag, list(instances)))
         check(*args)
     return suites
@@ -563,6 +633,49 @@ def test_serre_memo_miss_count(monkeypatch):
     monkeypatch.setattr(operators, "_stored", counted)
     assert verify._run("CSerreA", 3, instances).status == "pass"
     assert stored[0] == 2510
+
+
+def _record_stored(monkeypatch):
+    """Record every image a memo stores from now on, in a list that holds
+    them."""
+    stored = []
+    store = operators._stored
+
+    def recorded(img, pool):
+        stored.append(store(img, pool))
+        return stored[-1]
+    monkeypatch.setattr(operators, "_stored", recorded)
+    return stored
+
+
+def test_images_live_and_die_with_the_generator_set(monkeypatch):
+    """One memo per generator set: a root vector's images stored by
+    check_aux serve WeightConj on the same set, and nothing the run
+    returns or the package keeps holds an image once the set is gone."""
+    stored = _record_stored(monkeypatch)
+    gens = build_classical(build_root_data(2, 1))
+    assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
+    assert len(stored) == 2381
+    gens = build_classical(build_root_data(2, 1))
+    assert root_vectors(gens) is root_vectors(gens)
+    verify.check_aux(gens, 3)
+    del stored[:]
+    assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
+    assert stored == []
+
+    del gens, stored[:]
+    report = verify.run_full(1, 1, degree=2, nmax=2)
+    # the empty image is the interpreter's one empty tuple
+    images = [img for img in stored if img]
+    del stored[:]
+    assert report.ok and images
+    package = [vars(mod) for name, mod in sys.modules.items()
+               if name.split(".")[0] == "qsuperalg"]
+    reachable = _reachable(report, package)
+    assert not any(id(img) in reachable for img in images)
+    # once run_full returns, only this test holds them
+    gc.collect()
+    assert all(r is images for r in gc.get_referrers(*images))
 
 
 def test_negative_degree_is_rejected():
