@@ -285,17 +285,18 @@ def build_xminus(gens, l, m):
     """Root vector for alpha_l + ... + alpha_m as a nested twisted bracket.
 
     Quantum: X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}; classical uses the
-    plain graded bracket at every level.
+    plain graded bracket at every level.  The node is the one of
+    ``root_vectors``, so it shares the set's memo with every suite.
     """
     if not (1 <= l <= m <= gens.data.K):
         raise IndexError("need 1 <= l <= m <= %d" % gens.data.K)
-    return next(itertools.islice(_xminus_chain(gens, l), m - l, None))
+    return root_vectors(gens)[l, m]
 
 
 def root_vectors(gens):
     """Every root vector X(l,m) of the generator set, keyed by (l, m).
 
-    Each X(l,m) is the bracket of build_xminus taken on the table's own
+    Each X(l,m) is the bracket [f_m, X(l,m-1)] taken on the table's own
     X(l,m-1), so one node object stands for X(l,m-1) in all of them.  The
     table is built on the first call and the same one is returned on every
     later call, so every suite reads the same nodes, and the set's memo

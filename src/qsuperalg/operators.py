@@ -75,12 +75,13 @@ after the failing one have already been probed up to the failure.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
-position or form, and scalar constructor it needs.  Images accumulate in
-place: a term threads the monomial through its factors in acting order,
-and the last factor's images are added straight into the result, where a
-coefficient that cancels is dropped.  A term coefficient of 1 is never
-multiplied in, and a memoised image scaled by +1 or -1 is added or
-subtracted without a product.
+position or form, and scalar constructor it needs.  Every term runs
+through one loop: it starts as its monomial carrying the term's
+coefficient, threads that through its factors in acting order, and the
+last factor's images are added straight into the result, where a
+coefficient that cancels is dropped.  A product with 1 is its other
+factor, so a unit coefficient costs no arithmetic, and a memoised image
+scaled by +1 or -1 is added or subtracted without a product.
 """
 
 from __future__ import annotations
@@ -197,9 +198,7 @@ class OpExpr:
     def __init__(self, cs, terms):
         self.cs = cs
         self.terms = tuple((c, ops) for c, ops in terms if not c.is_zero())
-        # a unit term coefficient is stored as None: nothing to multiply
-        self._plan = tuple((None if c.is_one() else c, _steps(ops))
-                           for c, ops in self.terms)
+        self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
         self._mask = _support(self.terms)
 
     # -- constructors -------------------------------------------------------
@@ -281,46 +280,27 @@ class OpExpr:
 
     # -- action -------------------------------------------------------------
 
-    def apply_monomial(self, mono, coeff=ONE, _memo=None):
-        """Act on a single monomial with a scalar coefficient.
+    def apply_monomial(self, mono, *, _memo=None):
+        """Act on a single monomial with coefficient 1.
 
-        A nested factor's image is computed with coefficient 1 and kept in
-        ``_memo`` under the node and the monomial's part in the node's
-        support; every visit rebuilds the image of its own monomial from
-        it and scales that by the coefficient it carries (see the module
-        docstring).  ``_memo`` is private: an (images, pool) pair of dicts
-        that a caller checking several operators on several monomials
-        passes to every call, while anything else leaves it out and gets a
-        fresh one.  Only nested factors' images are kept, as tuples, so
-        the caller owns the returned dict.
+        Every term threads the monomial, carrying the term's coefficient,
+        through its steps in acting order.  A nested factor's image is
+        computed once and kept in ``_memo`` under the node and the
+        monomial's part in the node's support; every visit rebuilds the
+        image of its own monomial from it and scales that by the
+        coefficient it carries (see the module docstring).  ``_memo`` is
+        private and keyword-only: an (images, pool) pair of dicts that a
+        caller checking several operators on several monomials passes to
+        every call, while anything else leaves it out and gets a fresh
+        one.  Only nested factors' images are kept, as tuples, so the
+        caller owns the returned dict.
         """
         if _memo is None:
             _memo = ({}, {})
         cs = self.cs
         out = {}
-        if coeff.is_zero():
-            return out
         for tc, steps in self._plan:
-            if len(steps) == 1 and type(steps[0]) is tuple:
-                # a chain of elementary operators: the term coefficient is
-                # multiplied in only if the monomial survives the chain
-                r = _run(cs, steps[0], mono, coeff)
-                if r is None:
-                    continue
-                m, c = r
-                if tc is not None:
-                    c = c * tc
-                cur = out.get(m)
-                if cur is None:
-                    out[m] = c
-                else:
-                    c = cur + c
-                    if c.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = c
-                continue
-            poly = {mono: coeff if tc is None else coeff * tc}
+            poly = {mono: tc}
             last = len(steps) - 1
             for k, step in enumerate(steps):
                 # the last step's images go straight into out
@@ -352,7 +332,7 @@ class OpExpr:
                         img = seen.get(r)
                         if img is None:
                             img = seen[r] = _stored(
-                                step.apply_monomial(r, ONE, _memo), pool)
+                                step.apply_monomial(r, _memo=_memo), pool)
                         # the image of m is that of r moved by u, with
                         # the Koszul signs u adds (see the module docstring)
                         u = m - r
@@ -582,8 +562,8 @@ def first_failure(pairs, degree, _memo=None):
             if mono & joint[k] != mono:
                 continue
             a, b = pairs[k]
-            img_a = a.apply_monomial(mono, ONE, memo)
-            img_b = b.apply_monomial(mono, ONE, memo)
+            img_a = a.apply_monomial(mono, _memo=memo)
+            img_b = b.apply_monomial(mono, _memo=memo)
             # no image stores a zero coefficient, so == is exact equality
             if img_a != img_b:
                 live, found = k, (k, mono, sp.poly_sub(img_a, img_b))

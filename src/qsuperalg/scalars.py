@@ -138,6 +138,8 @@ def _mul(a, b):
 
 
 def _rational(c):
+    if isinstance(c, float):
+        raise TypeError("exact scalars take no float: %r" % c)
     if not isinstance(c, int):
         c = Fraction(c)
         if c.denominator == 1:
@@ -179,10 +181,11 @@ class RingElem:
         """The single monomial coeff * q^qexp * prod Qi^e over the (i, e)
         pairs of ``weights``, marker indices i >= 1.  Order, zero exponents
         and repeated markers (whose exponents add) do not change it."""
+        coeff = _rational(coeff)
         if not coeff:
             return ZERO
         key, bound = _pack(qexp, weights)
-        return RingElem({key: _rational(coeff)}, 0, bound, 0)
+        return RingElem({key: coeff}, 0, bound, 0)
 
     @property
     def num(self):
@@ -218,60 +221,10 @@ class RingElem:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._n, other._n
-        if not b:
-            return self
-        if not a:
-            return other
-        if self._k < other._k:
-            self, other, a, b = other, self, b, a
-        k, d = self._k, self._k - other._k
-        bound = max(self._b, other._b + 2 * d)
-        if bound > LIMIT:
-            bound = _fit(max(_exact_bound(a), _exact_bound(b) + 2 * d))
-        n = dict(a)
-        get = n.get
-        for key, c in _lift(b, d).items():
-            c2 = get(key, 0) + c
-            if c2:
-                n[key] = c2
-            else:
-                del n[key]
-        if d:
-            # the lifted side vanishes at q = +-1, so the sum has the flags
-            # of the canonical higher-k side
-            return RingElem(n, k, bound, getattr(self, "_v", None))
-        return _canonical(n, k, bound, None)
+        return _combine(self, other, False)
 
     def __sub__(self, other):
-        """self - other without negating a copy of other: the lower-k side
-        is lifted as in ``__add__``."""
-        a, b = self._n, other._n
-        if not b:
-            return self
-        if not a:
-            return -other
-        d = self._k - other._k
-        hi, lo = (self, other) if d >= 0 else (other, self)
-        k, dd = hi._k, abs(d)
-        bound = max(hi._b, lo._b + 2 * dd)
-        if bound > LIMIT:
-            bound = _fit(max(_exact_bound(hi._n),
-                             _exact_bound(lo._n) + 2 * dd))
-        if d < 0:
-            n = _lift(a, dd)
-        else:
-            n, b = dict(a), _lift(b, dd)
-        get = n.get
-        for key, c in b.items():
-            c2 = get(key, 0) - c
-            if c2:
-                n[key] = c2
-            else:
-                del n[key]
-        if d:
-            return RingElem(n, k, bound, getattr(hi, "_v", None))
-        return _canonical(n, k, bound, None)
+        return _combine(self, other, True)
 
     def __neg__(self):
         return RingElem({key: -c for key, c in self._n.items()},
@@ -379,6 +332,37 @@ class RingElem:
 def _binom(e, i):
     """e choose i, for any integer e."""
     return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
+
+
+def _combine(x, y, sub):
+    """x + y, or x - y if ``sub``, without negating a copy of y: the
+    lower-k side is lifted to the higher k, and a sum with unequal k has
+    the flags of its higher-k side (the lifted side vanishes at q = +-1)."""
+    a, b = x._n, y._n
+    if not b:
+        return x
+    if not a:
+        return -y if sub else y
+    d = x._k - y._k
+    hi, lo = (x, y) if d >= 0 else (y, x)
+    k, dd = hi._k, abs(d)
+    bound = max(hi._b, lo._b + 2 * dd)
+    if bound > LIMIT:
+        bound = _fit(max(_exact_bound(hi._n), _exact_bound(lo._n) + 2 * dd))
+    if d < 0:
+        n = _lift(a, dd)
+    else:
+        n, b = dict(a), _lift(b, dd)
+    get = n.get
+    for key, c in b.items():
+        c2 = get(key, 0) - c if sub else get(key, 0) + c
+        if c2:
+            n[key] = c2
+        else:
+            del n[key]
+    if d:
+        return RingElem(n, k, bound, getattr(hi, "_v", None))
+    return _canonical(n, k, bound, None)
 
 
 def _canonical(n, k, bound, v):

@@ -254,7 +254,7 @@ def check_serre(gens, degree):
 # auxiliary root-vector relations
 # ---------------------------------------------------------------------------
 
-def check_aux(gens, degree, nmax=3):
+def check_aux(gens, degree, nmax):
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     d = _Deformation(gens)

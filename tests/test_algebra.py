@@ -7,7 +7,8 @@ import pytest
 from qsuperalg.scalars import qpow
 from qsuperalg.superpoly import MONO_ONE
 from qsuperalg import algebra
-from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
+from qsuperalg.operators import (OpExpr, basis_monomials, graded_commutator,
+                                 op_eq_on_basis)
 from qsuperalg.algebra import (build_root_data, build_quantum,
                                build_classical, build_generators, build_xminus,
                                root_vectors, check_linform_identities)
@@ -142,11 +143,24 @@ def test_root_vector_table_is_one_chain_of_shared_nodes(build):
     X = root_vectors(gens)
     assert sorted(X) == [(l, m) for l in (1, 2, 3) for m in range(l, 4)]
     for (l, m), x in X.items():
-        assert op_eq_on_basis(x, build_xminus(gens, l, m), 2)[0]
         if m > l:
             # X(l,m) = [f_m, X(l,m-1)] nests the table's own X(l,m-1)
+            xi = qpow(-gens.data.nu[m]) if gens.quantum else None
+            bracket = graded_commutator(gens.f[m], X[(l, m - 1)], xi)
+            assert op_eq_on_basis(x, bracket, 2)[0]
             assert any(f is X[(l, m - 1)]
                        for _, factors in x.terms for f in factors)
+
+
+def test_build_xminus_returns_the_table_node():
+    gens = build_quantum(build_root_data(2, 1))
+    K = gens.data.K
+    for l in range(1, K + 1):
+        for m in range(l, K + 1):
+            assert build_xminus(gens, l, m) is root_vectors(gens)[l, m]
+    for l, m in ((0, 1), (2, 1), (1, K + 1)):
+        with pytest.raises(IndexError):
+            build_xminus(gens, l, m)
 
 
 def test_odd_root_vectors_square_to_zero():

@@ -75,7 +75,16 @@ def test_qnum_op_acts_as_q_integer():
 def test_zero_coefficient_gives_the_zero_image():
     mono = mono_pack(((Z, 3),))
     for op in (D(Z), x(T1) @ (x(Z) + D(Z))):
-        assert op.apply_monomial(mono, RingElem.from_rational(0)) == {}
+        assert op.scale(RingElem.from_rational(0)).apply_monomial(mono) == {}
+
+
+def test_a_coefficient_argument_is_refused():
+    """The image is always that of the monomial with coefficient 1; a
+    coefficient is a scaled operator, and the memo is keyword-only."""
+    mono = mono_pack(((Z, 3),))
+    for op in (D(Z), x(T1) @ (x(Z) + D(Z))):
+        with pytest.raises(TypeError):
+            op.apply_monomial(mono, ONE)
 
 
 def test_classical_derivative():
@@ -125,7 +134,7 @@ def test_lazy_product_matches_sequential_application():
     step = {mono: ONE}
     for op in (D(Z), x(Z), num):
         (m, c), = step.items()
-        step = op.apply_monomial(m, c)
+        step = op.scale(c).apply_monomial(m)
     assert prod.apply_monomial(mono) == step
 
 
@@ -309,7 +318,7 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
     assert not any(isinstance(f, OpExpr)
                    for _, factors in flat.terms for f in factors)
     for mono in basis_monomials(cs, 3):
-        img = tree.apply_monomial(mono, coeff)
+        img = tree.scale(coeff).apply_monomial(mono)
         assert img == {m: c * coeff
                        for m, c in flat.apply_monomial(mono).items()}, \
             (tree.render(), mono)
@@ -339,7 +348,7 @@ def _unmemoised(op, poly):
                 continue
             step, nxt = OpExpr.term(op.cs, (f,)), {}
             for m, c in cur.items():
-                for m2, c2 in step.apply_monomial(m, c).items():
+                for m2, c2 in step.scale(c).apply_monomial(m).items():
                     poly_add_term(nxt, m2, c2)
             cur = nxt
         for m, c in cur.items():
@@ -398,11 +407,11 @@ def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
     # one memo for every monomial and operator, as in a suite check
     memo = ({}, {})
     for name, op in ops.items():
-        fresh = _unshared(op)
+        scaled, fresh = op.scale(coeff), _unshared(op).scale(coeff)
         for mono in basis_monomials(cs, 3):
-            img = op.apply_monomial(mono, coeff)
-            assert img == op.apply_monomial(mono, coeff, memo), (name, mono)
-            assert img == fresh.apply_monomial(mono, coeff), (name, mono)
+            img = scaled.apply_monomial(mono)
+            assert img == scaled.apply_monomial(mono, _memo=memo), (name, mono)
+            assert img == fresh.apply_monomial(mono), (name, mono)
             assert img == _unmemoised(op, {mono: coeff}), (name, mono)
 
 
@@ -490,12 +499,12 @@ def _count_top_level_applies(monkeypatch):
     calls, depth = [0], [0]
     apply = OpExpr.apply_monomial
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         if not depth[0]:
             calls[0] += 1
         depth[0] += 1
         try:
-            return apply(self, *args)
+            return apply(self, *args, **kwargs)
         finally:
             depth[0] -= 1
     monkeypatch.setattr(OpExpr, "apply_monomial", counted)
@@ -658,7 +667,7 @@ def test_images_live_and_die_with_the_generator_set(monkeypatch):
     assert len(stored) == 2381
     gens = build_classical(build_root_data(2, 1))
     assert root_vectors(gens) is root_vectors(gens)
-    verify.check_aux(gens, 3)
+    verify.check_aux(gens, 3, 3)
     del stored[:]
     assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
     assert stored == []

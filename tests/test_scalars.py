@@ -189,6 +189,15 @@ def test_rational_scalars():
     assert (ONE / RingElem.from_rational(3)) * RingElem.from_rational(3) == ONE
 
 
+def test_floats_are_refused():
+    # a float is not exact: 0.1 would become 3602879701896397/2^55
+    for c in (0.1, 0.5, 0.0):
+        with pytest.raises(TypeError, match=repr(c)):
+            RingElem.from_rational(c)
+        with pytest.raises(TypeError, match=repr(c)):
+            RingElem.monomial(1, (), c)
+
+
 def test_integral_fractions_become_int():
     assert RingElem.from_rational(Fraction(-4, 2)).num == {(0, ()): -2}
     assert type(RingElem.from_rational(Fraction(-1)).num[(0, ())]) is int
