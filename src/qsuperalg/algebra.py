@@ -77,17 +77,13 @@ def build_root_data(M, N):
 class GeneratorSet:
     """One realization: maps i -> t_i (or h_i), e_i, f_i as operators.
 
-    The set also owns the evaluation state its relation checks share: the
-    image memo that every ``verify.check_*`` taking the set passes to the
-    probe loop, created here, and the root-vector table, built on the first
-    call of :func:`root_vectors`.  A nested node's image is keyed by the
-    node and the monomial's part in its support, so it is exact at any
-    degree, and a root vector's image computed by one suite serves every
-    later one.  Both live exactly as long as the set.
+    The set also holds its root-vector table, built on the first call of
+    :func:`root_vectors`, so that every relation check of the set reaches
+    the same root-vector nodes.
     """
 
     __slots__ = ("data", "cs", "variant", "weights", "t", "e", "f", "t_form",
-                 "_memo", "_roots")
+                 "_roots")
 
     def __init__(self, data, cs, variant, weights, t, e, f, t_form):
         self.data = data
@@ -98,7 +94,6 @@ class GeneratorSet:
         self.e = e
         self.f = f
         self.t_form = t_form  # dict i -> LinForm (exponent of t_i / value of h_i)
-        self._memo = ({}, {})   # (images, pool), see operators.first_failure
         self._roots = None      # the root_vectors table, once built
 
     @property
@@ -286,7 +281,7 @@ def build_xminus(gens, l, m):
 
     Quantum: X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}; classical uses the
     plain graded bracket at every level.  The node is the one of
-    ``root_vectors``, so it shares the set's memo with every suite.
+    ``root_vectors``.
     """
     if not (1 <= l <= m <= gens.data.K):
         raise IndexError("need 1 <= l <= m <= %d" % gens.data.K)
@@ -299,9 +294,7 @@ def root_vectors(gens):
     Each X(l,m) is the bracket [f_m, X(l,m-1)] taken on the table's own
     X(l,m-1), so one node object stands for X(l,m-1) in all of them.  The
     table is built on the first call and the same one is returned on every
-    later call, so every suite reads the same nodes, and the set's memo
-    evaluates each of them once per part of a monomial in its support, for
-    all the suites together.
+    later call, so every suite reads the same nodes.
     """
     if gens._roots is None:
         gens._roots = {(l, m): x for l in range(1, gens.data.K + 1)

@@ -19,16 +19,12 @@ degree-bounded monomial basis).
 
 The same nested node (a root vector, its powers, a generator inside every
 bracket) is reached many times, within one operator, across every
-instance of a relation suite and across the basis monomials.  Evaluation
-therefore keeps a memo of each nested factor's image with coefficient 1
-and scales that image by the incoming coefficient on every visit.  One
-memo serves one generator set: ``first_failure``, the one probe loop,
-shares the memo it is given between both sides of every pair on every
-basis monomial, and every check of a ``GeneratorSet`` gives it the set's
-memo, so the memo lives exactly as long as the set.  A call given no memo
-opens a fresh one and drops it when it returns.  An image is keyed by its
-node and a part of a monomial, not by the degree bound, so it is exact in
-every check that reaches it.
+instance of a relation suite, across the basis monomials and across the
+suites.  Evaluation therefore keeps a memo of each nested factor's image
+with coefficient 1 and scales that image by the incoming coefficient on
+every visit.  The memo belongs to the node: a nested node keeps its images
+for as long as it lives.  An image is keyed by a part of a monomial, not by
+the degree bound, so it is exact wherever the node is reached.
 
 A node's image depends only on the part of the monomial in its support,
 so the memo is keyed by that part.  Each node carries a support mask,
@@ -66,12 +62,13 @@ two sides' masks, m a basis monomial, r = m & J and u = m - r:
     joint support, m & J == m, and a pair's first failure, the witness,
     always lies among them.
 
-The memo stores each image as a flat (m, c, m, c, ...) tuple in a dict per
-node keyed by r, and takes every monomial and coefficient it stores from
-one pool per memo, so a value many images hold is kept once; the pool
-lives and dies with the memo.  The witness is the one checking the pairs
-one by one would give; the cost is on the failure path, where the pairs
-after the failing one have already been probed up to the failure.
+A node's memo is an (images, pool) pair, made on the node's first nested
+visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
+and every monomial and coefficient stored is taken from ``pool``, so a
+value many of the node's images hold is kept once.  The witness is the
+one checking the pairs one by one would give; the cost is on the failure
+path, where the pairs after the failing one have already been probed up
+to the failure.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
@@ -193,13 +190,14 @@ class OpExpr:
     for deeply nested commutators.
     """
 
-    __slots__ = ("cs", "terms", "_plan", "_mask")
+    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo")
 
     def __init__(self, cs, terms):
         self.cs = cs
         self.terms = tuple((c, ops) for c, ops in terms if not c.is_zero())
         self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
         self._mask = _support(self.terms)
+        self._memo = None   # (images, pool), once the node is nested
 
     # -- constructors -------------------------------------------------------
 
@@ -212,8 +210,8 @@ class OpExpr:
         return OpExpr(cs, ((ONE, ()),))
 
     @staticmethod
-    def term(cs, ops, coeff=ONE):
-        return OpExpr(cs, ((coeff, tuple(ops)),))
+    def term(cs, ops):
+        return OpExpr(cs, ((ONE, tuple(ops)),))
 
     # -- algebra ------------------------------------------------------------
 
@@ -280,23 +278,16 @@ class OpExpr:
 
     # -- action -------------------------------------------------------------
 
-    def apply_monomial(self, mono, *, _memo=None):
+    def apply_monomial(self, mono):
         """Act on a single monomial with coefficient 1.
 
         Every term threads the monomial, carrying the term's coefficient,
         through its steps in acting order.  A nested factor's image is
-        computed once and kept in ``_memo`` under the node and the
-        monomial's part in the node's support; every visit rebuilds the
-        image of its own monomial from it and scales that by the
-        coefficient it carries (see the module docstring).  ``_memo`` is
-        private and keyword-only: an (images, pool) pair of dicts that a
-        caller checking several operators on several monomials passes to
-        every call, while anything else leaves it out and gets a fresh
-        one.  Only nested factors' images are kept, as tuples, so the
-        caller owns the returned dict.
+        computed once and kept in the factor's memo under the monomial's
+        part in its support; every visit rebuilds the image of its own
+        monomial from it and scales that by the coefficient it carries (see
+        the module docstring).  The caller owns the returned dict.
         """
-        if _memo is None:
-            _memo = ({}, {})
         cs = self.cs
         out = {}
         for tc, steps in self._plan:
@@ -321,10 +312,9 @@ class OpExpr:
                             else:
                                 nxt[m] = c
                 else:
-                    images, pool = _memo
-                    seen = images.get(step)
-                    if seen is None:
-                        seen = images[step] = {}
+                    if step._memo is None:
+                        step._memo = ({}, {})
+                    seen, pool = step._memo
                     mask = step._mask
                     odd = mask & cs.odd_low
                     for m, c in poly.items():
@@ -332,7 +322,7 @@ class OpExpr:
                         img = seen.get(r)
                         if img is None:
                             img = seen[r] = _stored(
-                                step.apply_monomial(r, _memo=_memo), pool)
+                                step.apply_monomial(r), pool)
                         # the image of m is that of r moved by u, with
                         # the Koszul signs u adds (see the module docstring)
                         u = m - r
@@ -528,7 +518,7 @@ def _monos_of_degree(cs, pos, remaining, acc):
         yield from _monos_of_degree(cs, pos + 1, remaining - e, tail)
 
 
-def first_failure(pairs, degree, _memo=None):
+def first_failure(pairs, degree):
     """The first failing (lhs, rhs) pair on the monomials of degree <= degree.
 
     Returns None when every pair agrees on every basis monomial, else
@@ -542,11 +532,6 @@ def first_failure(pairs, degree, _memo=None):
     A failure of pair k stops the checks of pairs >= k; pairs before k go
     on to later monomials, where a failure replaces the witness, so pairs
     after the first failing one have been probed up to its failure.
-
-    ``_memo`` is private, as in ``apply_monomial``: the (images, pool)
-    memo of nested images that every probe of the call shares.  A
-    generator set passes its own, so that one memo serves all its checks;
-    without one the call opens a fresh memo, dropped when it returns.
     """
     if not pairs:
         return None
@@ -554,7 +539,6 @@ def first_failure(pairs, degree, _memo=None):
     for a, b in pairs:
         pairs[0][0]._check(a)
         a._check(b)
-    memo = ({}, {}) if _memo is None else _memo
     joint = [a._mask | b._mask for a, b in pairs]
     live, found = len(pairs), None
     for mono in basis_monomials(cs, degree):
@@ -562,8 +546,8 @@ def first_failure(pairs, degree, _memo=None):
             if mono & joint[k] != mono:
                 continue
             a, b = pairs[k]
-            img_a = a.apply_monomial(mono, _memo=memo)
-            img_b = b.apply_monomial(mono, _memo=memo)
+            img_a = a.apply_monomial(mono)
+            img_b = b.apply_monomial(mono)
             # no image stores a zero coefficient, so == is exact equality
             if img_a != img_b:
                 live, found = k, (k, mono, sp.poly_sub(img_a, img_b))

@@ -10,18 +10,11 @@ A suite is checked one basis monomial at a time
 (``operators.first_failure``): each monomial is one probe, and every
 instance still being checked is applied to it in order, if the monomial
 lies inside the instance's support; elsewhere its verdict is that of a
-monomial probed before.  Every check that takes a generator set passes
-the set's one image memo, so the memo is shared by every instance of
-every suite on every probe and freed with the set; ``check_heisenberg``
-works on a bare chart and opens a fresh one.  The memo keys a nested
-node's image by the monomial's part in the node's support, so a root
-vector that several instances or suites contain is evaluated once for all
-the monomials that agree on its support.  The suites read the root
-vectors from the set's one table (``algebra.root_vectors``), whose X(l,m)
-is built on the very X(l,m-1) node, so these shared nodes are the same
-objects in every suite.  A failing suite pays for the shared loop: the
-instances after the failing one have already been probed up to the
-failure.
+monomial probed before.  The suites read the root vectors from the set's
+one table (``algebra.root_vectors``), whose X(l,m) is built on the very
+X(l,m-1) node, so these shared nodes are the same objects in every
+suite.  A failing suite pays for the shared loop: the instances after the
+failing one have already been probed up to the failure.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
@@ -156,13 +149,10 @@ class _Deformation:
         return self.gens.t[i]
 
 
-def _run(tag, degree, instances, _memo=None):
+def _run(tag, degree, instances):
     """Check each (label, lhs, rhs) instance of one relation family.
 
-    Every instance is counted.  The basis monomial is the outer loop, and
-    ``_memo``, the memo of nested images of the generator set the
-    instances come from, is shared by every instance on every probe;
-    without one the check opens a fresh memo, dropped when it returns.
+    Every instance is counted, and the basis monomial is the outer loop.
     The witness is the first failing monomial of the first failing
     instance, as checking the instances one after another would give; on
     the way, instances after the failing one have been probed up to its
@@ -170,8 +160,7 @@ def _run(tag, degree, instances, _memo=None):
     """
     t0 = time.monotonic()
     instances = list(instances)
-    found = first_failure([(lhs, rhs) for _, lhs, rhs in instances], degree,
-                          _memo)
+    found = first_failure([(lhs, rhs) for _, lhs, rhs in instances], degree)
     status, witness = ("pass" if instances else "vacuous"), None
     if found is not None:
         k, mono, residual = found
@@ -195,16 +184,16 @@ def check_cartan_relations(gens, degree):
              for j in range(1, data.K + 1)]
     results = [_run(d.tag("Q20"), degree, (
         ("i=%d,j=%d" % (i, j), *d.weight(i, gens.t[j], 0))
-        for i, j in pairs if i < j), gens._memo)]
+        for i, j in pairs if i < j))]
     for tag, fam, sgn in (("Q21", gens.e, 1), ("Q22", gens.f, -1)):
         results.append(_run(d.tag(tag), degree, (
             ("i=%d,j=%d" % (i, j), d.conj(i, fam[j]),
              fam[j].scale(d.eig(sgn * data.a(i, j))))
-            for i, j in pairs), gens._memo))
+            for i, j in pairs)))
     results.append(_run(d.tag("Q23"), degree, (
         ("i=%d,j=%d" % (i, j), graded_commutator(gens.e[i], gens.f[j]),
          d.cartan(i) if i == j else OpExpr.zero(cs))
-        for i, j in pairs), gens._memo))
+        for i, j in pairs)))
     return results
 
 
@@ -240,14 +229,13 @@ def check_serre(gens, degree):
             mid = graded_commutator(fam[odd + 1], inner, d.xi(1))
             yield name, graded_commutator(fam[odd], mid), OpExpr.zero(cs)
 
-    memo = gens._memo
-    return [_run(d.tag("QSerreA"), degree, serre_a(), memo),
-            _run(d.tag("QSerreOdd"), degree, serre_odd(), memo),
+    return [_run(d.tag("QSerreA"), degree, serre_a()),
+            _run(d.tag("QSerreOdd"), degree, serre_odd()),
             # nilpotency of the odd generators; implicit in the Z2 grading
             # and reported apart so a failure cannot pass for a Serre one
             _run("OddNil", degree,
                  ((name + "^2", fam[odd] @ fam[odd], OpExpr.zero(cs))
-                  for fam, name in fams), memo)]
+                  for fam, name in fams))]
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +299,10 @@ def check_aux(gens, degree, nmax):
                        graded_commutator(gens.f[k], X[(j, i)]),
                        OpExpr.zero(cs))
 
-    memo = gens._memo
-    return [_run(d.tag("AuxQ39"), degree, aux39(), memo),
-            _run(d.tag("AuxQ40"), degree, aux40(), memo),
-            _run(d.tag("AuxQ41"), degree, aux41(), memo),
-            _run(d.tag("AuxQ42"), degree, aux42(), memo)]
+    return [_run(d.tag("AuxQ39"), degree, aux39()),
+            _run(d.tag("AuxQ40"), degree, aux40()),
+            _run(d.tag("AuxQ41"), degree, aux41()),
+            _run(d.tag("AuxQ42"), degree, aux42())]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +323,7 @@ def check_weight_conjugation(gens, degree):
                     yield ("i=%d,l=%d,m=%d" % (i, l, m),
                            *d.weight(i, X[(l, m)], -total))
 
-    return [_run("WeightConj", degree, instances(), gens._memo)]
+    return [_run("WeightConj", degree, instances())]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +374,7 @@ def check_highest_weight(gens):
             yield ("%s_%d" % (name, i), gens.t[i],
                    OpExpr.identity(cs).scale(expect))
 
-    return [_run("HighestWeight", 0, instances(), gens._memo)]
+    return [_run("HighestWeight", 0, instances())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for operator expressions: elementary actions, sums and products
 with nested factors, parity bookkeeping, extensional equality and the
-memo of nested images that one generator set shares."""
+memo of images each nested node keeps."""
 
 import gc
 import sys
@@ -80,7 +80,7 @@ def test_zero_coefficient_gives_the_zero_image():
 
 def test_a_coefficient_argument_is_refused():
     """The image is always that of the monomial with coefficient 1; a
-    coefficient is a scaled operator, and the memo is keyword-only."""
+    coefficient is a scaled operator."""
     mono = mono_pack(((Z, 3),))
     for op in (D(Z), x(T1) @ (x(Z) + D(Z))):
         with pytest.raises(TypeError):
@@ -325,7 +325,7 @@ def test_nested_evaluation_matches_multiplied_out_form(cs, data):
 
 
 # ---------------------------------------------------------------------------
-# the image memo: support-restricted keys, one memo per generator set
+# the image memo: support-restricted keys, one memo per nested node
 # ---------------------------------------------------------------------------
 
 def _unshared(op):
@@ -404,13 +404,16 @@ def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
                    for op in ops.values() for node in _nested_nodes(op))
     # a (q - q^-1) denominator and the weight marker Q1
     coeff = RingElem.monomial(1, ((1, 1),)) * (ONE / Q_MINUS_QINV)
-    # one memo for every monomial and operator, as in a suite check
-    memo = ({}, {})
+    monos = list(basis_monomials(cs, 3))
     for name, op in ops.items():
-        scaled, fresh = op.scale(coeff), _unshared(op).scale(coeff)
-        for mono in basis_monomials(cs, 3):
-            img = scaled.apply_monomial(mono)
-            assert img == scaled.apply_monomial(mono, _memo=memo), (name, mono)
+        scaled = op.scale(coeff)
+        # the nodes' memos fill as the monomials go, as in a suite check
+        imgs = [scaled.apply_monomial(mono) for mono in monos]
+        for mono, img in zip(monos, imgs):
+            # warm: every nested image the call needs is stored
+            assert img == scaled.apply_monomial(mono), (name, mono)
+            # cold: fresh nodes with empty memos
+            fresh = _unshared(op).scale(coeff)
             assert img == fresh.apply_monomial(mono), (name, mono)
             assert img == _unmemoised(op, {mono: coeff}), (name, mono)
 
@@ -480,16 +483,16 @@ def _pair_lists(cs):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
-    """first_failure probes a pair only inside its joint support and may
-    share one memo across calls, as a generator set's checks do; both
-    leave its answer that of the plain pair-by-pair loop."""
-    memo = ({}, {})
+    """first_failure probes a pair only inside its joint support, and a
+    second call on the same nodes reads the images the first one stored,
+    as a generator set's later checks do; neither changes its answer from
+    that of the plain pair-by-pair loop."""
     for _ in range(2):
         pairs = data.draw(_pair_lists(cs))
         degree = data.draw(st.integers(0, 3))
         want = _reference_first_failure(pairs, degree)
-        assert first_failure(pairs, degree) == want
-        assert first_failure(pairs, degree, memo) == want
+        assert first_failure(pairs, degree) == want    # cold
+        assert first_failure(pairs, degree) == want    # warm
 
 
 def _count_top_level_applies(monkeypatch):
@@ -499,12 +502,12 @@ def _count_top_level_applies(monkeypatch):
     calls, depth = [0], [0]
     apply = OpExpr.apply_monomial
 
-    def counted(self, *args, **kwargs):
+    def counted(self, mono):
         if not depth[0]:
             calls[0] += 1
         depth[0] += 1
         try:
-            return apply(self, *args, **kwargs)
+            return apply(self, mono)
         finally:
             depth[0] -= 1
     monkeypatch.setattr(OpExpr, "apply_monomial", counted)
@@ -528,7 +531,7 @@ def _suite_instances(monkeypatch, check, *args):
     suites = {}
     with monkeypatch.context() as mp:
         mp.setattr(verify, "_run",
-                   lambda tag, degree, instances, *_:
+                   lambda tag, degree, instances:
                    suites.setdefault(tag, list(instances)))
         check(*args)
     return suites
@@ -565,18 +568,6 @@ def _reachable(*roots):
     return seen
 
 
-def test_no_image_outlives_its_probe(monkeypatch):
-    lhs, rhs = _auxq41_n3(monkeypatch)
-    before = len(_reachable(lhs, rhs))
-    assert op_eq_on_basis(lhs, rhs, 3) == (True, None)
-    assert len(_reachable(lhs, rhs)) == before
-    # a whole suite, whose probes share one memo among all its instances
-    instances = _auxq41(monkeypatch)
-    before = len(_reachable(instances))
-    assert verify._run("AuxQ41", 3, instances).status == "pass"
-    assert len(_reachable(instances)) == before
-
-
 def _count_koszul_calls(monkeypatch):
     """Count the Koszul-layer steps from now on: the calls to
     ``shift_coord`` that multiply (d > 0) or act on an odd coordinate.
@@ -596,9 +587,10 @@ def test_auxq41_work_count(monkeypatch):
     """Koszul-layer calls for AuxQ41 (n=3) at (1,1), degree 3.
 
     Without the image memo this instance made 4184 such steps, and with a
-    memo per basis monomial 2642.  With one memo for the whole check, keyed
-    by the part of the monomial in the node's support, a nested node's
-    image is computed once for every monomial that agrees on its support.
+    memo per basis monomial 2642.  With each nested node keeping its images,
+    keyed by the part of the monomial in the node's support, a nested
+    node's image is computed once for every monomial that agrees on its
+    support.
     """
     lhs, rhs = _auxq41_n3(monkeypatch)
     calls = _count_koszul_calls(monkeypatch)
@@ -613,8 +605,8 @@ def test_weight_conjugation_work_count(monkeypatch):
     Checked one instance after another, each with a memo of its own and
     X(l,m) built again for every i, the suite made 14736 such steps, and
     with one memo per basis monomial shared by every instance 3114.  With
-    one memo for the whole suite, keyed by the part of the monomial in the
-    node's support, and the root vectors read from one table, a root
+    each nested node keeping its images, keyed by the part of the monomial
+    in the node's support, and the root vectors read from one table, a root
     vector's image is computed once for every monomial that agrees on its
     support, for the whole suite.
     """
@@ -629,7 +621,7 @@ def test_weight_conjugation_work_count(monkeypatch):
 def test_serre_memo_miss_count(monkeypatch):
     """Nested-node evaluations (memo misses) for CSerreA at (2,1),
     classical, degree 3.  Each miss stores one image, so this is the
-    number of images the suite's one memo holds at the end."""
+    number of images the suite's nested nodes hold at the end."""
     gens = build_classical(build_root_data(2, 1))
     instances = _suite_instances(monkeypatch, verify.check_serre, gens,
                                  3)["CSerreA"]
@@ -658,9 +650,9 @@ def _record_stored(monkeypatch):
 
 
 def test_images_live_and_die_with_the_generator_set(monkeypatch):
-    """One memo per generator set: a root vector's images stored by
-    check_aux serve WeightConj on the same set, and nothing the run
-    returns or the package keeps holds an image once the set is gone."""
+    """A root vector's images stored by check_aux serve WeightConj on the
+    same set, whose suites read the same root-vector nodes, and nothing the
+    run returns or the package keeps holds an image once the set is gone."""
     stored = _record_stored(monkeypatch)
     gens = build_classical(build_root_data(2, 1))
     assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
@@ -684,6 +676,27 @@ def test_images_live_and_die_with_the_generator_set(monkeypatch):
     assert not any(id(img) in reachable for img in images)
     # once run_full returns, only this test holds them
     gc.collect()
+    assert all(r is images for r in gc.get_referrers(*images))
+
+
+def test_images_live_as_long_as_their_nodes(monkeypatch):
+    """A nested node keeps its images: a second check of the same AuxQ41
+    instances stores none, and once the instances and their set are gone
+    nothing but the test holds an image."""
+    gens = build_quantum(build_root_data(1, 1))
+    instances = _suite_instances(monkeypatch, verify.check_aux, gens, 3,
+                                 3)["AuxQ41"]
+    stored = _record_stored(monkeypatch)
+    assert verify._run("AuxQ41", 3, instances).status == "pass"
+    first = len(stored)
+    assert first
+    assert verify._run("AuxQ41", 3, instances).status == "pass"
+    assert len(stored) == first
+    # the empty image is the interpreter's one empty tuple
+    images = [img for img in stored if img]
+    del stored[:], instances, gens
+    gc.collect()
+    assert images
     assert all(r is images for r in gc.get_referrers(*images))
 
 
