@@ -8,8 +8,8 @@ from .operators import (LinForm, OpExpr, ContextMismatch, MixedParity,
                         graded_commutator, first_failure, op_eq_on_basis,
                         basis_monomials)
 from .algebra import (RootData, GeneratorSet, build_root_data,
-                      build_classical, build_quantum, build_xminus,
-                      root_vectors, check_linform_identities)
+                      build_classical, build_quantum,
+                      check_linform_identities)
 from .verify import run_full, VerificationReport
 
 __version__ = "0.1.0"

@@ -29,9 +29,9 @@ from .operators import LinForm, OpExpr, graded_commutator
 
 
 class RootData:
-    """Signs, Cartan matrix and generator parities for sl(M+1|N+1)."""
+    """Signs and Cartan matrix for sl(M+1|N+1)."""
 
-    __slots__ = ("M", "N", "K", "nu", "cartan", "gen_parity", "simple_roots")
+    __slots__ = ("M", "N", "K", "nu", "cartan")
 
     def __init__(self, M, N):
         if M < 0 or N < 0:
@@ -48,10 +48,6 @@ class RootData:
                   - nu[i + 1] * (i + 1 == j)
                   for j in range(1, K + 1))
             for i in range(1, K + 1))
-        self.gen_parity = tuple(1 if i == M + 1 else 0 for i in range(1, K + 1))
-        # alpha_i = nu_i e_i - nu_{i+1} e_{i+1} over the epsilon basis
-        self.simple_roots = tuple(
-            {i: nu[i], i + 1: -nu[i + 1]} for i in range(1, K + 1))
 
     def a(self, i, j):
         return self.cartan[i - 1][j - 1]
@@ -61,13 +57,12 @@ class RootData:
         return sum(self.a(i, r) for r in range(lo, hi + 1))
 
     def root_inner(self, i, j):
-        """(alpha_i | alpha_j) under (eps_i | eps_j) = nu_i delta_ij."""
-        total = 0
-        for k, ci in self.simple_roots[i - 1].items():
-            cj = self.simple_roots[j - 1].get(k)
-            if cj and k <= self.K + 1:
-                total += ci * cj * self.nu[k]
-        return total
+        """(alpha_i | alpha_j) under (eps_i | eps_j) = nu_i delta_ij, with
+        alpha_i = nu_i eps_i - nu_{i+1} eps_{i+1}."""
+        nu = self.nu
+        ai = {i: nu[i], i + 1: -nu[i + 1]}
+        aj = {j: nu[j], j + 1: -nu[j + 1]}
+        return sum(c * aj[k] * nu[k] for k, c in ai.items() if k in aj)
 
 
 def build_root_data(M, N):
@@ -77,13 +72,15 @@ def build_root_data(M, N):
 class GeneratorSet:
     """One realization: maps i -> t_i (or h_i), e_i, f_i as operators.
 
-    The set also holds its root-vector table, built on the first call of
-    :func:`root_vectors`, so that every relation check of the set reaches
-    the same root-vector nodes.
+    ``roots`` maps (l, m) to the root vector X(l,m) for alpha_l + ... +
+    alpha_m: X(l,l) = f_l and X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}, the
+    plain graded bracket classically.  Each X(l,m) is bracketed onto the
+    table's own X(l,m-1), so one node object stands for X(l,m-1) in all of
+    them, and every relation check of the set reaches the same nodes.
     """
 
     __slots__ = ("data", "cs", "variant", "weights", "t", "e", "f", "t_form",
-                 "_roots")
+                 "roots")
 
     def __init__(self, data, cs, variant, weights, t, e, f, t_form):
         self.data = data
@@ -94,7 +91,12 @@ class GeneratorSet:
         self.e = e
         self.f = f
         self.t_form = t_form  # dict i -> LinForm (exponent of t_i / value of h_i)
-        self._roots = None      # the root_vectors table, once built
+        self.roots = {}
+        for l in range(1, data.K + 1):
+            x = self.roots[l, l] = f[l]
+            for m in range(l + 1, data.K + 1):
+                xi = qpow(-data.nu[m]) if self.quantum else None
+                x = self.roots[l, m] = graded_commutator(f[m], x, xi)
 
     @property
     def quantum(self):
@@ -238,7 +240,10 @@ def _f_terms(data, cs, i, variant, weights):
     return terms
 
 
-def _build(data, weights, variant):
+def build_generators(data, weights=None, variant="prop3"):
+    """The generator set of any variant: prop2, prop3 or classical."""
+    if variant not in ("prop2", "prop3", "classical"):
+        raise ValueError("variant must be prop2, prop3 or classical")
     if weights is not None and (len(weights) != data.K or not all(
             type(w) is int for w in weights)):
         raise ValueError("weights must be None or %d ints, got %r"
@@ -257,59 +262,14 @@ def _build(data, weights, variant):
 
 def build_quantum(data, weights=None, variant="prop3"):
     """The quantum generator set; weights None means symbolic markers."""
-    if variant not in ("prop2", "prop3"):
-        raise ValueError("variant must be prop2 or prop3")
-    return _build(data, weights, variant)
+    if variant == "classical":
+        raise ValueError("a quantum variant is prop2 or prop3")
+    return build_generators(data, weights, variant)
 
 
 def build_classical(data, weights=None):
     """The classical generator set of plain differential operators."""
-    return _build(data, weights, "classical")
-
-
-def build_generators(data, weights=None, variant="prop3"):
-    """The generator set of any variant: prop2, prop3 or classical."""
-    if variant not in ("prop2", "prop3", "classical"):
-        raise ValueError("variant must be prop2, prop3 or classical")
-    if variant == "classical":
-        return build_classical(data, weights)
-    return build_quantum(data, weights, variant)
-
-
-def build_xminus(gens, l, m):
-    """Root vector for alpha_l + ... + alpha_m as a nested twisted bracket.
-
-    Quantum: X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}; classical uses the
-    plain graded bracket at every level.  The node is the one of
-    ``root_vectors``.
-    """
-    if not (1 <= l <= m <= gens.data.K):
-        raise IndexError("need 1 <= l <= m <= %d" % gens.data.K)
-    return root_vectors(gens)[l, m]
-
-
-def root_vectors(gens):
-    """Every root vector X(l,m) of the generator set, keyed by (l, m).
-
-    Each X(l,m) is the bracket [f_m, X(l,m-1)] taken on the table's own
-    X(l,m-1), so one node object stands for X(l,m-1) in all of them.  The
-    table is built on the first call and the same one is returned on every
-    later call, so every suite reads the same nodes.
-    """
-    if gens._roots is None:
-        gens._roots = {(l, m): x for l in range(1, gens.data.K + 1)
-                       for m, x in enumerate(_xminus_chain(gens, l), l)}
-    return gens._roots
-
-
-def _xminus_chain(gens, l):
-    """X(l,l) = f_l, X(l,l+1), ..., X(l,K), each bracketed onto the last."""
-    x = gens.f[l]
-    yield x
-    for k in range(l + 1, gens.data.K + 1):
-        xi = qpow(-gens.data.nu[k]) if gens.quantum else None
-        x = graded_commutator(gens.f[k], x, xi)
-        yield x
+    return build_generators(data, weights, "classical")
 
 
 def check_linform_identities(data):

@@ -17,14 +17,17 @@ No normal ordering is ever performed: expressions stay in the order they
 were written, and equality of operators is extensional (action on a
 degree-bounded monomial basis).
 
-The same nested node (a root vector, its powers, a generator inside every
-bracket) is reached many times, within one operator, across every
-instance of a relation suite, across the basis monomials and across the
-suites.  Evaluation therefore keeps a memo of each nested factor's image
-with coefficient 1 and scales that image by the incoming coefficient on
-every visit.  The memo belongs to the node: a nested node keeps its images
-for as long as it lives.  An image is keyed by a part of a monomial, not by
-the degree bound, so it is exact wherever the node is reached.
+The same nested node (a root vector, a generator inside every bracket) is
+reached many times, within one operator, across every instance of a
+relation suite, across the basis monomials and across the suites.  A power
+X^n built with ``@`` is no node of its own: ``compose`` flattens it to one
+term whose n factors are each the node X (a root vector is a sum of terms,
+so it stays one nested factor).  Evaluation therefore keeps a memo of each
+nested factor's image with coefficient 1 and scales that image by the
+incoming coefficient on every visit.  The memo belongs to the node: a
+nested node keeps its images for as long as it lives.  An image is keyed by
+a part of a monomial, not by the degree bound, so it is exact wherever the
+node is reached.
 
 A node's image depends only on the part of the monomial in its support,
 so the memo is keyed by that part.  Each node carries a support mask,
@@ -246,16 +249,6 @@ class OpExpr:
 
     def __matmul__(self, other):
         return self.compose(other)
-
-    def power(self, n):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        if n == 0:
-            return OpExpr.identity(self.cs)
-        out = self
-        for _ in range(n - 1):
-            out = out.compose(self)
-        return out
 
     # -- parity -------------------------------------------------------------
 

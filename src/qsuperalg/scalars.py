@@ -164,10 +164,7 @@ class RingElem:
         self._n = n     # packed numerator
         self._k = k     # power of (q^2 - 1) in the denominator
         self._b = b     # bound on the largest |exponent| in any key
-        if v is not None:
-            # _flags(n), else unset until needed: caching it then adds no
-            # object that the element refers to
-            self._v = v
+        self._v = v     # _flags(n), or None until first needed
 
     # -- constructors -------------------------------------------------------
 
@@ -212,11 +209,10 @@ class RingElem:
         return any((key + _H) >> _W for key in self._n)
 
     def _flags(self):
-        try:
-            return self._v
-        except AttributeError:
+        v = self._v
+        if v is None:
             v = self._v = _flags(self._n)
-            return v
+        return v
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -228,7 +224,7 @@ class RingElem:
 
     def __neg__(self):
         return RingElem({key: -c for key, c in self._n.items()},
-                        self._k, self._b, getattr(self, "_v", None))
+                        self._k, self._b, self._v)
 
     def __mul__(self, other):
         a, b = self._n, other._n
@@ -272,7 +268,7 @@ class RingElem:
         n = {key - e: _rational(inv * v) for key, v in self._n.items()}
         if k < 0:
             return RingElem(_lift(n, -k), 0, bound)
-        return _canonical(n, k, bound, getattr(self, "_v", None))
+        return _canonical(n, k, bound, self._v)
 
     def __pow__(self, n):
         if n < 0:
@@ -361,7 +357,7 @@ def _combine(x, y, sub):
         else:
             del n[key]
     if d:
-        return RingElem(n, k, bound, getattr(hi, "_v", None))
+        return RingElem(n, k, bound, hi._v)
     return _canonical(n, k, bound, None)
 
 

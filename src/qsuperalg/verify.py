@@ -11,10 +11,10 @@ A suite is checked one basis monomial at a time
 instance still being checked is applied to it in order, if the monomial
 lies inside the instance's support; elsewhere its verdict is that of a
 monomial probed before.  The suites read the root vectors from the set's
-one table (``algebra.root_vectors``), whose X(l,m) is built on the very
-X(l,m-1) node, so these shared nodes are the same objects in every
-suite.  A failing suite pays for the shared loop: the instances after the
-failing one have already been probed up to the failure.
+one table (``gens.roots``), whose X(l,m) is built on the very X(l,m-1)
+node, so these shared nodes are the same objects in every suite.  A
+failing suite pays for the shared loop: the instances after the failing
+one have already been probed up to the failure.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .scalars import RingElem, qpow, qnum
 from . import superpoly as sp
 from .operators import LinForm, OpExpr, graded_commutator, first_failure
-from .algebra import build_root_data, build_generators, root_vectors
+from .algebra import build_root_data, build_generators
 
 
 @dataclass
@@ -249,7 +249,7 @@ def check_aux(gens, degree, nmax):
     data, cs = gens.data, gens.cs
     K = data.K
     nu = data.nu
-    X = root_vectors(gens)
+    X = gens.roots
     below = [(i, j) for j in range(1, K + 1) for i in range(j + 1, K + 1)]
 
     def aux39():
@@ -279,11 +279,13 @@ def check_aux(gens, degree, nmax):
             # powers of an odd root vector vanish, so the power law
             # is only meaningful for even ones beyond n = 1
             top = nmax if base.parity() == 0 else 1
+            # X^n is the flat chain (X, ..., X) of n copies of the node
+            xn = OpExpr.identity(cs)
             for n in range(1, top + 1):
-                xn = base.power(n)
+                prev, xn = xn, xn @ base
                 lhs = gens.f[i] @ xn
                 rhs = xn.compose(gens.f[i]).scale(qpow(-n * nu[i])) \
-                    + base.power(n - 1).compose(X[(j, i)]).scale(qnum(n))
+                    + prev.compose(X[(j, i)]).scale(qnum(n))
                 yield "i=%d,j=%d,n=%d" % (i, j, n), lhs, rhs
 
     def aux42():
@@ -313,7 +315,7 @@ def check_weight_conjugation(gens, degree):
     d = _Deformation(gens)
     data = gens.data
     K = data.K
-    X = root_vectors(gens)
+    X = gens.roots
 
     def instances():
         for i in range(1, K + 1):

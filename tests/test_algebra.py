@@ -10,8 +10,8 @@ from qsuperalg import algebra
 from qsuperalg.operators import (OpExpr, basis_monomials, graded_commutator,
                                  op_eq_on_basis)
 from qsuperalg.algebra import (build_root_data, build_quantum,
-                               build_classical, build_generators, build_xminus,
-                               root_vectors, check_linform_identities)
+                               build_classical, build_generators,
+                               check_linform_identities)
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +26,11 @@ def test_nu_signs():
 def test_cartan_matrix_sl21():
     data = build_root_data(1, 0)
     assert data.cartan == ((2, -1), (-1, 0))
-    assert data.gen_parity == (0, 1)
 
 
 def test_cartan_matrix_sl22():
     data = build_root_data(1, 1)
     assert data.cartan == ((2, -1, 0), (-1, 0, 1), (0, 1, -2))
-    assert data.gen_parity == (0, 1, 0)
 
 
 def test_cartan_matrix_purely_even():
@@ -117,30 +115,22 @@ def test_weights_must_be_none_or_k_ints(build, weights):
 def test_xminus_base_case_is_f():
     gens = build_quantum(build_root_data(1, 1))
     for l in (1, 2, 3):
-        assert op_eq_on_basis(build_xminus(gens, l, l), gens.f[l], 3)[0]
+        assert op_eq_on_basis(gens.roots[l, l], gens.f[l], 3)[0]
 
 
 def test_xminus_first_step_expansion():
     # X(1,2) = f2 f1 - q^{-nu_2} f1 f2 (f1 even here, so no Koszul sign)
     gens = build_quantum(build_root_data(1, 0))
-    x12 = build_xminus(gens, 1, 2)
+    x12 = gens.roots[1, 2]
     manual = gens.f[2] @ gens.f[1] - (gens.f[1] @ gens.f[2]).scale(qpow(-1))
     assert op_eq_on_basis(x12, manual, 3)[0]
-
-
-def test_xminus_range_validation():
-    gens = build_quantum(build_root_data(1, 0))
-    with pytest.raises(IndexError):
-        build_xminus(gens, 2, 1)
-    with pytest.raises(IndexError):
-        build_xminus(gens, 1, 3)
 
 
 @pytest.mark.parametrize("build", [build_quantum, build_classical],
                          ids=["quantum", "classical"])
 def test_root_vector_table_is_one_chain_of_shared_nodes(build):
     gens = build(build_root_data(1, 1))
-    X = root_vectors(gens)
+    X = gens.roots
     assert sorted(X) == [(l, m) for l in (1, 2, 3) for m in range(l, 4)]
     for (l, m), x in X.items():
         if m > l:
@@ -152,20 +142,20 @@ def test_root_vector_table_is_one_chain_of_shared_nodes(build):
                        for _, factors in x.terms for f in factors)
 
 
-def test_build_xminus_returns_the_table_node():
+def test_root_vector_table_starts_each_chain_at_f():
+    # the table is built with the set: one entry per positive root, and
+    # X(l,l) is the set's own f_l node
     gens = build_quantum(build_root_data(2, 1))
     K = gens.data.K
+    assert list(gens.roots) == [(l, m) for l in range(1, K + 1)
+                                for m in range(l, K + 1)]
     for l in range(1, K + 1):
-        for m in range(l, K + 1):
-            assert build_xminus(gens, l, m) is root_vectors(gens)[l, m]
-    for l, m in ((0, 1), (2, 1), (1, K + 1)):
-        with pytest.raises(IndexError):
-            build_xminus(gens, l, m)
+        assert gens.roots[l, l] is gens.f[l]
 
 
 def test_odd_root_vectors_square_to_zero():
     gens = build_quantum(build_root_data(1, 1))
-    x13 = build_xminus(gens, 1, 3)
+    x13 = gens.roots[1, 3]
     assert x13.parity() == 1
     assert op_eq_on_basis(x13 @ x13, OpExpr.zero(gens.cs), 3)[0]
 

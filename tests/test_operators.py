@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
                                qnum)
 from qsuperalg import operators, superpoly, verify
-from qsuperalg.algebra import (build_classical, build_quantum,
-                               build_root_data, build_xminus, root_vectors)
+from qsuperalg.algebra import build_classical, build_quantum, build_root_data
 from qsuperalg.superpoly import (CoordSystem, MONO_ONE, mono_pack,
                                  mono_pairs, poly_add_term, poly_sub)
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
@@ -136,14 +135,6 @@ def test_lazy_product_matches_sequential_application():
         (m, c), = step.items()
         step = op.scale(c).apply_monomial(m)
     assert prod.apply_monomial(mono) == step
-
-
-def test_power():
-    cube = x(Z).power(3)
-    assert cube.apply_monomial(MONO_ONE) == {mono_pack(((Z, 3),)): ONE}
-    assert x(Z).power(0).apply_monomial(MONO_ONE) == {MONO_ONE: ONE}
-    # squares of an odd coordinate vanish as operators
-    assert op_eq_on_basis(x(T1).power(2), OpExpr.zero(CS), 3)[0]
 
 
 def test_number_operator_shift_identity():
@@ -282,10 +273,10 @@ def _pairs(cs):
         return a[0].scale(c), _scaled(a[1], c)
 
     def power(a, n):
-        flat = OpExpr.identity(cs)
+        tree = flat = OpExpr.identity(cs)
         for _ in range(n):
-            flat = _times(flat, a[1])
-        return a[0].power(n), flat
+            tree, flat = tree @ a[0], _times(flat, a[1])
+        return tree, flat
 
     def bracket(a, b, xi):
         factor = ONE if a[0].parity() and b[0].parity() else MINUS_ONE
@@ -359,13 +350,13 @@ def _unmemoised(op, poly):
 def _shared_node_operators(gens):
     """Operators in which one node object occurs at several depths."""
     f, X = gens.f[2], gens.f[1]               # X = X(1,1) is even
-    Y = build_xminus(gens, 1, 2)              # nests f_1 and f_2 again
-    ops = {"f X^3": f @ X.power(3),
-           "[X, X^2]_q": graded_commutator(X, X.power(2), qpow(1)),
+    Y = gens.roots[1, 2]                      # nests f_1 and f_2 again
+    ops = {"f X^3": f @ X @ X @ X,
+           "[X, X^2]_q": graded_commutator(X, X @ X, qpow(1)),
            "X f X": X @ f @ X,
            "[f, Y] X": graded_commutator(f, Y) @ X}
     if gens.data.K >= 3:
-        rv = root_vectors(gens)               # X(2,3) nests X(3,3) = f_3
+        rv = gens.roots                       # X(2,3) nests X(3,3) = f_3
         ops["X(2,3) X(3,3)"] = rv[2, 3] @ rv[3, 3]
     return ops
 
@@ -432,7 +423,7 @@ def test_support_mask_of_the_identity_is_empty():
 def test_support_mask_of_a_nested_node_is_the_union_of_its_factors():
     gens = build_quantum(build_root_data(2, 1))
     f1, f2 = gens.f[1], gens.f[2]
-    X = build_xminus(gens, 1, 2)              # [f_2, f_1]_q
+    X = gens.roots[1, 2]                      # [f_2, f_1]_q
     assert X._mask == f1._mask | f2._mask
     assert X._mask != f1._mask and X._mask != f2._mask
     s = x(Z) + D(Z)
@@ -599,6 +590,32 @@ def test_auxq41_work_count(monkeypatch):
     assert calls[0] < 4184
 
 
+def test_auxq41_powers_are_flat_chains_of_the_table_node(monkeypatch):
+    """AuxQ41 at (2,1), nmax 3: with X = X(j,i-1), the table's own node,
+    the left side f_i X^n is the one term (f_i, X, ..., X) with n copies of
+    X, and the right side's terms are (X, ..., X, f_i) with n copies and
+    (X, ..., X, X(j,i)) with n - 1.  A power is a flat chain of the
+    root-vector node, not a node of its own."""
+    gens = build_quantum(build_root_data(2, 1))
+    nu = gens.data.nu
+    instances = _suite_instances(monkeypatch, verify.check_aux, gens, 3,
+                                 3)["AuxQ41"]
+    powers = set()
+    for label, lhs, rhs in instances:
+        i, j, n = (int(part.split("=")[1]) for part in label.split(","))
+        X, f, Xji = gens.roots[j, i - 1], gens.f[i], gens.roots[j, i]
+        (c, factors), = lhs.terms
+        assert c.is_one() and len(factors) == n + 1 and factors[0] is f
+        assert all(y is X for y in factors[1:])
+        (c1, left), (c2, right) = rhs.terms
+        assert c1 == qpow(-n * nu[i]) and c2 == qnum(n)
+        assert len(left) == n + 1 and left[-1] is f
+        assert len(right) == n and right[-1] is Xji
+        assert all(y is X for y in left[:-1] + right[:-1])
+        powers.add(n)
+    assert powers == {1, 2, 3}
+
+
 def test_weight_conjugation_work_count(monkeypatch):
     """Koszul-layer calls for WeightConj at (1,1), quantum, degree 3.
 
@@ -658,7 +675,6 @@ def test_images_live_and_die_with_the_generator_set(monkeypatch):
     assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
     assert len(stored) == 2381
     gens = build_classical(build_root_data(2, 1))
-    assert root_vectors(gens) is root_vectors(gens)
     verify.check_aux(gens, 3, 3)
     del stored[:]
     assert verify.check_weight_conjugation(gens, 3)[0].status == "pass"
@@ -705,8 +721,3 @@ def test_negative_degree_is_rejected():
         basis_monomials(CS, -1)
     with pytest.raises(ValueError):
         op_eq_on_basis(x(Z), OpExpr.zero(CS), -1)
-
-
-def test_negative_power_is_rejected():
-    with pytest.raises(ValueError):
-        x(Z).power(-1)
