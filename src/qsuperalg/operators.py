@@ -58,9 +58,9 @@ two sides' masks, m a basis monomial, r = m & J and u = m - r:
     term (m2, c) to (m2 + u, +-c) and the sign depends only on
     P(u) & (m2 ^ r); T_u is one injective map for both sides, so the pair
     agrees at m if and only if it agrees at r;
-  * when r != m, r is a basis monomial of lower degree, so the probe loop
-    reached it before m, while the pair was still being checked (a pair
-    that stops being checked never starts again);
+  * when r != m, r is a basis monomial of lower degree, so it comes
+    before m in the graded basis order and the pair's own check reached
+    it first;
   * so ``first_failure`` probes a pair only on the monomials inside its
     joint support, m & J == m, and a pair's first failure, the witness,
     always lies among them.
@@ -68,10 +68,7 @@ two sides' masks, m a basis monomial, r = m & J and u = m - r:
 A node's memo is an (images, pool) pair, made on the node's first nested
 visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
 and every monomial and coefficient stored is taken from ``pool``, so a
-value many of the node's images hold is kept once.  The witness is the
-one checking the pairs one by one would give; the cost is on the failure
-path, where the pairs after the failing one have already been probed up
-to the failure.
+value many of the node's images hold is kept once.
 
 A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
@@ -514,40 +511,30 @@ def _monos_of_degree(cs, pos, remaining, acc):
 def first_failure(pairs, degree):
     """The first failing (lhs, rhs) pair on the monomials of degree <= degree.
 
-    Returns None when every pair agrees on every basis monomial, else
-    (k, monomial, residual): k indexes the first failing pair, the
-    monomial is its first failing one in canonical order and the residual
-    is lhs - rhs there.  This is the witness checking the pairs one after
-    another gives, but the basis monomial is the outer loop: each monomial
-    is one probe of every pair still being checked.  A pair is probed only
-    on the monomials inside its joint support, since its verdict anywhere
-    else is that of a monomial probed before (see the module docstring).
-    A failure of pair k stops the checks of pairs >= k; pairs before k go
-    on to later monomials, where a failure replaces the witness, so pairs
-    after the first failing one have been probed up to its failure.
+    The pairs, any iterable of them, are checked one after another, each
+    on the basis monomials in canonical order.  Returns None when every
+    pair agrees on every basis monomial, else (k, monomial, residual): k
+    indexes the first failing pair, the monomial is its first failing one
+    and the residual is lhs - rhs there.  A pair is probed only on the
+    monomials inside its joint support, since its verdict anywhere else is
+    that of a monomial it was probed on before (see the module docstring).
     """
-    if not pairs:
-        return None
-    cs = pairs[0][0].cs
-    for a, b in pairs:
-        pairs[0][0]._check(a)
+    first = None
+    for k, (a, b) in enumerate(pairs):
+        if first is None:
+            first, basis = a, tuple(basis_monomials(a.cs, degree))
+        first._check(a)
         a._check(b)
-    joint = [a._mask | b._mask for a, b in pairs]
-    live, found = len(pairs), None
-    for mono in basis_monomials(cs, degree):
-        for k in range(live):
-            if mono & joint[k] != mono:
+        joint = a._mask | b._mask
+        for mono in basis:
+            if mono & joint != mono:
                 continue
-            a, b = pairs[k]
             img_a = a.apply_monomial(mono)
             img_b = b.apply_monomial(mono)
             # no image stores a zero coefficient, so == is exact equality
             if img_a != img_b:
-                live, found = k, (k, mono, sp.poly_sub(img_a, img_b))
-                break
-        if not live:
-            break
-    return found
+                return k, mono, sp.poly_sub(img_a, img_b)
+    return None
 
 
 def op_eq_on_basis(a, b, degree):

@@ -6,15 +6,12 @@ annihilates every basis monomial of total degree up to the bound.  On
 failure the first failing monomial (in the canonical graded order) and
 the full residual polynomial are recorded as a witness.
 
-A suite is checked one basis monomial at a time
-(``operators.first_failure``): each monomial is one probe, and every
-instance still being checked is applied to it in order, if the monomial
-lies inside the instance's support; elsewhere its verdict is that of a
-monomial probed before.  The suites read the root vectors from the set's
-one table (``gens.roots``), whose X(l,m) is built on the very X(l,m-1)
-node, so these shared nodes are the same objects in every suite.  A
-failing suite pays for the shared loop: the instances after the failing
-one have already been probed up to the failure.
+A suite's instances are checked one after another
+(``operators.first_failure``), each on the basis monomials inside its
+support; elsewhere its verdict is that of a monomial it was probed on
+before.  The suites read the root vectors from the set's one table
+(``gens.roots``), whose X(l,m) is built on the very X(l,m-1) node, so
+these shared nodes are the same objects in every suite.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
@@ -152,11 +149,9 @@ class _Deformation:
 def _run(tag, degree, instances):
     """Check each (label, lhs, rhs) instance of one relation family.
 
-    Every instance is counted, and the basis monomial is the outer loop.
+    Every instance is counted, and the instances are checked in order.
     The witness is the first failing monomial of the first failing
-    instance, as checking the instances one after another would give; on
-    the way, instances after the failing one have been probed up to its
-    failure.
+    instance.
     """
     t0 = time.monotonic()
     instances = list(instances)

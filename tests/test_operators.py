@@ -221,6 +221,16 @@ def test_op_eq_requires_matching_charts():
         op_eq_on_basis(x(Z), OpExpr.term(CoordSystem(0, 1), (("x", 0),)), 1)
 
 
+def test_first_failure_takes_any_iterable_of_pairs():
+    pairs = [(x(Z), x(Z)), (D(Z), D(Z).scale(qpow(1)))]
+    want = first_failure(pairs, 2)
+    assert want[:2] == (1, mono_pack(((Z, 1),)))
+    assert first_failure((p for p in pairs), 2) == want
+    other = OpExpr.term(CoordSystem(0, 1), (("x", 0),))
+    with pytest.raises(ContextMismatch):
+        first_failure((p for p in [(x(Z), x(Z)), (other, other)]), 2)
+
+
 # ---------------------------------------------------------------------------
 # nested factors
 # ---------------------------------------------------------------------------
@@ -488,8 +498,8 @@ def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
 
 def _count_top_level_applies(monkeypatch):
     """Count the ``apply_monomial`` calls not made inside another one,
-    the probe loop's own, from now on.  The returned list holds the
-    running total."""
+    those ``first_failure`` makes itself, from now on.  The returned list
+    holds the running total."""
     calls, depth = [0], [0]
     apply = OpExpr.apply_monomial
 

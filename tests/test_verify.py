@@ -126,23 +126,41 @@ def _one_instance_after_another(instances, degree):
     return None
 
 
-def test_probe_outer_loop_keeps_the_first_failing_instance():
+def _passes_d2_one():
+    """A suite whose second instance fails and whose third instance,
+    with sides of its own, would fail at an earlier monomial."""
     cs = CoordSystem(1, 0)                  # z(1,1), th(1,2), th(2,2)
     d = OpExpr.term(cs, (("D", 0),))
     x = OpExpr.term(cs, (("x", 0),))
-    zero = OpExpr.zero(cs)
-    instances = [
+    return [
         ("passes", x, x),
-        ("D^2", d @ d, zero),               # fails only at z(1,1)^2
-        ("1", OpExpr.identity(cs), zero),   # fails at the first monomial
+        ("D^2", d @ d, OpExpr.zero(cs)),    # fails only at z(1,1)^2
+        ("1", OpExpr.identity(cs), OpExpr.zero(cs)),  # fails at monomial 1
     ]
-    # the probe-outer loop meets instance "1" first, at monomial 1, and
-    # must still report instance "D^2"
+
+
+def test_the_first_failing_instance_is_the_witness():
+    instances = _passes_d2_one()
     want = _one_instance_after_another(instances, 2)
     assert want.startswith("D^2 at monomial z(1,1)^2: residual ")
     result = verify._run("T", 2, iter(instances))
     assert (result.status, result.instances) == ("fail", 3)
     assert result.witness == want
+
+
+def test_instances_after_the_failing_one_are_not_applied(monkeypatch):
+    instances = _passes_d2_one()
+    applied = []
+    apply = OpExpr.apply_monomial
+
+    def recorded(self, mono):
+        applied.append(self)
+        return apply(self, mono)
+    monkeypatch.setattr(OpExpr, "apply_monomial", recorded)
+    result = verify._run("T", 2, instances)
+    assert result.witness.startswith("D^2 at monomial z(1,1)^2: ")
+    _, lhs, rhs = instances[2]
+    assert not any(op is lhs or op is rhs for op in applied)
 
 
 def test_suite_timings_are_recorded():
