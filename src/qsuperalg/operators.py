@@ -74,16 +74,23 @@ A monomial is the packed int of ``superpoly``, and each elementary
 operator is compiled once, when its term is built, to the exponent step,
 position or form, and scalar constructor it needs.  Every term runs
 through one loop: it starts as its monomial carrying the term's
-coefficient, threads that through its factors in acting order, and the
-last factor's images are added straight into the result, where a
-coefficient that cancels is dropped.  A product with 1 is its other
-factor, so a unit coefficient costs no arithmetic, and a memoised image
-scaled by +1 or -1 is added or subtracted without a product.
+coefficient and threads that through its factors in acting order.  A
+step does no scalar addition while it runs.  Each image monomial it
+reaches collects its contributions as (a, b, negate), the product +-a*b
+with b None for 1, and the step ends with one reduction: a lone
+contribution is its product, and two or more are summed in one pass by
+``scalars.sum_of_products``, which lifts and cancels (q^2 - 1) once per
+coefficient rather than once per addition.  A coefficient that cancels
+drops its monomial, and a step left empty ends the term.  The last
+factor's contributions, from every term, are collected in the result
+and reduced once at the end.  A product with 1 is its other factor, so
+a unit coefficient costs no arithmetic, and a memoised image scaled by
++1 or -1 contributes its stored coefficient with b None.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, MINUS_ONE, qpow, qnum, lin
+from .scalars import ONE, MINUS_ONE, qpow, qnum, lin, sum_of_products
 from . import superpoly as sp
 
 
@@ -272,11 +279,12 @@ class OpExpr:
         """Act on a single monomial with coefficient 1.
 
         Every term threads the monomial, carrying the term's coefficient,
-        through its steps in acting order.  A nested factor's image is
-        computed once and kept in the factor's memo under the monomial's
-        part in its support; every visit rebuilds the image of its own
-        monomial from it and scales that by the coefficient it carries (see
-        the module docstring).  The caller owns the returned dict.
+        through its steps in acting order, and each step sums every image
+        coefficient in one pass (see the module docstring).  A nested
+        factor's image is computed once and kept in the factor's memo under
+        the monomial's part in its support; every visit rebuilds the image
+        of its own monomial from it and scales that by the coefficient it
+        carries.  The caller owns the returned dict.
         """
         cs = self.cs
         out = {}
@@ -284,23 +292,14 @@ class OpExpr:
             poly = {mono: tc}
             last = len(steps) - 1
             for k, step in enumerate(steps):
-                # the last step's images go straight into out
+                # the last step's contributions go straight into out
                 nxt = out if k == last else {}
                 if type(step) is tuple:
                     for m, c in poly.items():
                         r = _run(cs, step, m, c)
-                        if r is None:
-                            continue
-                        m, c = r
-                        cur = nxt.get(m)
-                        if cur is None:
-                            nxt[m] = c
-                        else:
-                            c = cur + c
-                            if c.is_zero():
-                                del nxt[m]
-                            else:
-                                nxt[m] = c
+                        if r is not None:
+                            m, c, neg = r
+                            nxt.setdefault(m, []).append((c, None, neg))
                 else:
                     if step._memo is None:
                         step._memo = ({}, {})
@@ -318,30 +317,21 @@ class OpExpr:
                         u = m - r
                         flip = (_passed_odd(cs, u) & odd
                                 if odd and u & cs.odd_low else 0)
-                        # an image scaled by +-1 is added or subtracted
+                        # an image scaled by +-1 needs no product
                         neg = c == MINUS_ONE
-                        unit = neg or c.is_one()
+                        scale = None if neg or c.is_one() else c
                         it = iter(img)
                         for m2, c2 in zip(it, it):
-                            if not unit:
-                                c2 = c2 * c
                             sub = neg
                             if flip and ((m2 ^ r) & flip).bit_count() & 1:
                                 sub = not neg
-                            m2 += u
-                            cur = nxt.get(m2)
-                            if cur is None:
-                                nxt[m2] = -c2 if sub else c2
-                            else:
-                                c2 = cur - c2 if sub else cur + c2
-                                if c2.is_zero():
-                                    del nxt[m2]
-                                else:
-                                    nxt[m2] = c2
-                if not nxt:
-                    break
-                poly = nxt
-        return out
+                            nxt.setdefault(m2 + u, []).append(
+                                (c2, scale, sub))
+                if k < last:
+                    poly = _summed(nxt)
+                    if not poly:
+                        break
+        return _summed(out)
 
     # -- rendering ----------------------------------------------------------
 
@@ -411,6 +401,26 @@ def _passed_odd(cs, u):
     return y & cs.odd_low
 
 
+def _summed(contribs):
+    """Each monomial's coefficient: the sum of its contributions (a, b,
+    negate), read as in ``sum_of_products``.  A lone contribution is its
+    own product, which is never zero, since every coefficient carried or
+    stored is nonzero and the scalars form a domain; a sum that cancels
+    drops its monomial."""
+    out = {}
+    for m, terms in contribs.items():
+        if len(terms) == 1:
+            ((c, scale, neg),) = terms
+            if scale is not None:
+                c = c * scale
+            out[m] = -c if neg else c
+        else:
+            c = sum_of_products(terms)
+            if not c.is_zero():
+                out[m] = c
+    return out
+
+
 def _stored(img, pool):
     """An image as the flat tuple (m, c, m, c, ...) the memo keeps, each
     monomial and coefficient taken from the memo's pool, so that a value
@@ -452,10 +462,12 @@ def _run(cs, ops, m, c):
     acting order.
 
     Each elementary operator maps a monomial to at most one monomial;
-    returns the image pair, or None once the monomial is annihilated.  A
-    derivative's factor [n] or n is multiplied in only for n > 1, since
-    both are 1 at n = 1, the only old exponent an odd coordinate has.  The
-    Koszul signs are collected in one flag and applied once at the end.
+    returns (monomial, coefficient, negate), the image being the
+    coefficient negated when ``negate``, or None once the monomial is
+    annihilated.  A derivative's factor [n] or n is multiplied in only for
+    n > 1, since both are 1 at n = 1, the only old exponent an odd
+    coordinate has.  The Koszul signs are collected in ``negate``, which
+    the caller hands on with the coefficient rather than negating it.
     """
     neg = False
     for d, arg, factor in ops:
@@ -473,7 +485,7 @@ def _run(cs, ops, m, c):
             if s.is_zero():
                 return None
             c = c * s
-    return m, -c if neg else c
+    return m, c, neg
 
 
 def graded_commutator(a, b, xi=None):

@@ -5,24 +5,28 @@ A scalar is a Laurent polynomial in q and the weight markers Q1, Q2, ...
 q-numbers [c + lambda] = (q^c Q - q^-c Q^-1)/(q - q^-1) are the only
 denominators.  It is stored as (num, k), with value num / (q^2 - 1)^k and
 exact rational coefficients, in canonical form: if k > 0, (q^2 - 1) does
-not divide num.  So ``==`` and the hash read the pair.  A sum lifts the
-smaller-k side by (q^2 - 1)^dk, a product adds the k's, and both then
-cancel (q^2 - 1) while it divides.
+not divide num.  So ``==`` and the hash read the pair.  A product adds
+the k's and cancels (q^2 - 1) while it divides.  Every sum is one pass,
+``sum_of_products``: it adds any number of products +-a*b into one
+numerator per k, lifts each lower k once to the highest by
+(q^2 - 1)^dk, and cancels (q^2 - 1) from the whole sum at the end;
+``+`` and ``-`` are its two-term case.
 
 q - 1 and q + 1 are coprime primes of Q[q^+-1, Q^+-1], so (q^2 - 1)
 divides num exactly when num vanishes at q = 1 and at q = -1 in every
 marker group.  Evaluation at q = +-1 is a ring map into the domain
 Q[Q^+-1]: a product's two vanishing flags are the OR of its factors', with
-no scan, and a sum with unequal k has the flags of its higher-k side (the
-lifted side vanishes at both points).  Flags are computed on first use and
-cached, so k = 0 elements (every classical scalar) never pay for them.
+no scan, so only a sum's numerator is scanned: once, and again after
+each division by (q^2 - 1).  Flags are computed on first use and cached,
+so k = 0 elements (every classical scalar) never pay for them.
 
 A monomial q^e0 Q1^e1 Q2^e2 ... is keyed by the int e0 + e1 B + e2 B^2 + ...
 with B = 2^16 and every |ei| <= LIMIT (Kronecker substitution, balanced
 digits), so keys add under multiplication.  Each element bounds its
-largest |ei|; bounds add under ``*`` and take the max under ``+``.  A bound
-past LIMIT is checked against the exact exponents and raises
-``OverflowError`` if they pass it too: a digit never wraps silently.
+largest |ei|; bounds add under ``*``, grow by 2dk when a numerator is
+lifted, and take the max over the parts of a sum.  A bound past LIMIT is
+checked against the exact exponents and raises ``OverflowError`` if they
+pass it too: a digit never wraps silently.
 
 Division accepts only a marker-free c q^a (q - q^-1)^j; else ``ValueError``.
 """
@@ -132,9 +136,12 @@ def _mul(a, b):
         for kb, cb in b.items():
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
-    if 0 in out.values():
-        return {k: c for k, c in out.items() if c}
-    return out
+    return _nonzero(out)
+
+
+def _nonzero(n):
+    """n without its zero coefficients."""
+    return {k: c for k, c in n.items() if c} if 0 in n.values() else n
 
 
 def _rational(c):
@@ -217,10 +224,10 @@ class RingElem:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return _combine(self, other, False)
+        return sum_of_products(((self, None, False), (other, None, False)))
 
     def __sub__(self, other):
-        return _combine(self, other, True)
+        return sum_of_products(((self, None, False), (other, None, True)))
 
     def __neg__(self):
         return RingElem({key: -c for key, c in self._n.items()},
@@ -330,35 +337,69 @@ def _binom(e, i):
     return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
 
 
-def _combine(x, y, sub):
-    """x + y, or x - y if ``sub``, without negating a copy of y: the
-    lower-k side is lifted to the higher k, and a sum with unequal k has
-    the flags of its higher-k side (the lifted side vanishes at q = +-1)."""
-    a, b = x._n, y._n
-    if not b:
-        return x
-    if not a:
-        return -y if sub else y
-    d = x._k - y._k
-    hi, lo = (x, y) if d >= 0 else (y, x)
-    k, dd = hi._k, abs(d)
-    bound = max(hi._b, lo._b + 2 * dd)
-    if bound > LIMIT:
-        bound = _fit(max(_exact_bound(hi._n), _exact_bound(lo._n) + 2 * dd))
-    if d < 0:
-        n = _lift(a, dd)
-    else:
-        n, b = dict(a), _lift(b, dd)
-    get = n.get
-    for key, c in b.items():
-        c2 = get(key, 0) - c if sub else get(key, 0) + c
-        if c2:
-            n[key] = c2
+def sum_of_products(terms):
+    """The sum of +-a*b over the (a, b, negate) triples of ``terms``, -a*b
+    when ``negate``; ``b`` None stands for 1.
+
+    Every product is added straight into one numerator per denominator
+    power k.  Each lower power is then lifted once to the highest, zero
+    coefficients are dropped, and (q^2 - 1) is cancelled once, from the
+    whole sum.  A product's bound is the sum of its factors' bounds and a
+    power lifted by d adds 2d; a bound past LIMIT is checked against the
+    exact exponents before any key can wrap.
+    """
+    levels = {}     # k -> [numerator, bound]
+    for a, b, neg in terms:
+        n, k, bound = a._n, a._k, a._b
+        if not n:
+            continue
+        if b is not None:
+            nb = b._n
+            if not nb:
+                continue
+            k += b._k
+            bound += b._b
+            if bound > LIMIT:
+                bound = _fit(_exact_bound(n) + _exact_bound(nb))
+        level = levels.get(k)
+        if level is None:
+            acc = {}
+            levels[k] = [acc, bound]
         else:
-            del n[key]
-    if d:
-        return RingElem(n, k, bound, hi._v)
-    return _canonical(n, k, bound, None)
+            acc = level[0]
+            if bound > level[1]:
+                level[1] = bound
+        get = acc.get
+        if b is None:
+            if neg:
+                for key, c in n.items():
+                    acc[key] = get(key, 0) - c
+            else:
+                for key, c in n.items():
+                    acc[key] = get(key, 0) + c
+            continue
+        for ka, ca in n.items():
+            if neg:
+                ca = -ca
+            for kb, cb in nb.items():
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
+    if not levels:
+        return ZERO
+    top = max(levels)
+    n, bound = levels.pop(top)
+    get = n.get
+    for k, (acc, b) in levels.items():
+        d = top - k
+        acc = _nonzero(acc)
+        b += 2 * d
+        if b > LIMIT:
+            b = _fit(_exact_bound(acc) + 2 * d)
+        if b > bound:
+            bound = b
+        for key, c in _lift(acc, d).items():
+            n[key] = get(key, 0) + c
+    return _canonical(_nonzero(n), top, bound, None)
 
 
 def _canonical(n, k, bound, v):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qsuperalg.operators import LinForm
 from qsuperalg.scalars import (RingElem, NonPolynomialLimit, ZERO, ONE,
-                               Q_MINUS_QINV, LIMIT, qpow, qnum, lin)
+                               Q_MINUS_QINV, LIMIT, qpow, qnum, lin,
+                               sum_of_products)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +395,59 @@ def test_difference_is_the_sum_with_the_negation(a, b, r):
         assert _is_canonical(x - y)
 
 
+# a contribution (a, b, negate) to sum_of_products; b None stands for 1
+_TRIPLE = st.tuples(_ELEM, st.none() | _ELEM, st.booleans())
+
+
+@given(st.lists(_TRIPLE, min_size=1, max_size=4), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_sum_of_products_matches_exact_evaluation(drawn, cancel):
+    terms = [(_elem(*a), None if b is None else _elem(*b), neg)
+             for a, b, neg in drawn]
+    if cancel:
+        # each contribution again with the other sign: the sum is 0
+        terms += [(a, b, not neg) for a, b, neg in terms]
+    total = sum_of_products(terms)
+    for q, Q in _POINTS:
+        want = Fraction(0)
+        for a, b, neg in terms:
+            v = _value(a, q, Q) * (1 if b is None else _value(b, q, Q))
+            want += -v if neg else v
+        assert _value(total, q, Q) == want
+    assert _is_canonical(total)
+    pairwise = ZERO
+    for a, b, neg in terms:
+        p = a if b is None else a * b
+        pairwise = pairwise - p if neg else pairwise + p
+    assert _same(total, pairwise)
+    if cancel:
+        assert total == ZERO
+
+
+def test_sum_of_products_checks_exponent_bounds():
+    pole = ONE / Q_MINUS_QINV
+    # a product past LIMIT, alone or beside a term that fits
+    with pytest.raises(OverflowError):
+        sum_of_products(((qpow(LIMIT), qpow(1), False),))
+    with pytest.raises(OverflowError):
+        sum_of_products(((ONE, None, False),
+                         (qpow(0, ((1, -LIMIT),)), qpow(0, ((1, -1),)),
+                          True)))
+    # q^LIMIT lifted to the pole's k = 1 reaches q^(LIMIT + 2)
+    with pytest.raises(OverflowError):
+        sum_of_products(((qpow(LIMIT), None, False), (pole, None, False)))
+    with pytest.raises(OverflowError):
+        qpow(LIMIT) - pole
+    # a bound of LIMIT over the exact exponent 1 neither raises as a
+    # factor nor when lifted
+    loose = (qpow(1) + qpow(LIMIT)) - qpow(LIMIT)
+    assert loose == qpow(1)
+    assert sum_of_products(((loose, qpow(LIMIT - 1), False),)) \
+        == qpow(LIMIT)
+    assert sum_of_products(((loose, None, False), (pole, qpow(2), True))) \
+        == qpow(1) - qpow(2) / Q_MINUS_QINV
+
+
 def test_sums_that_cancel_a_denominator():
     # (q^2 - 1)/(q - q^-1)^2 = q^2/(q^2 - 1): two terms over k = 2 leave k = 1
     x = qpow(2) / Q_MINUS_QINV ** 2
@@ -422,7 +476,7 @@ def test_exponents_past_the_packed_field_raise():
     with pytest.raises(OverflowError):
         qpow(LIMIT) / Q_MINUS_QINV
     # a loose bound is checked against the exact exponents before raising
-    loose = qpow(1) + (qpow(LIMIT) - qpow(LIMIT))
+    loose = (qpow(1) + qpow(LIMIT)) - qpow(LIMIT)
     assert loose * qpow(LIMIT - 1) == qpow(LIMIT)
 
 
