@@ -72,6 +72,12 @@ def build_root_data(M, N):
 class GeneratorSet:
     """One realization: maps i -> t_i (or h_i), e_i, f_i as operators.
 
+    ``t[i]`` is the single factor ``("qpow", t_form[i])``, and classically
+    h_i is multiplication by ``t_form[i]``, the single factor ``("lin",
+    t_form[i])``.  The relation suites rely on this: the quantum Cartan
+    side [e_i, f_i] is the q-number [t_form[i]], and the classical weight
+    relations are stated as h_i x = x {t_form[i] + k}.
+
     ``roots`` maps (l, m) to the root vector X(l,m) for alpha_l + ... +
     alpha_m: X(l,l) = f_l and X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}, the
     plain graded bracket classically.  Each X(l,m) is bracketed onto the

@@ -65,6 +65,12 @@ two sides' masks, m a basis monomial, r = m & J and u = m - r:
     joint support, m & J == m, and a pair's first failure, the witness,
     always lies among them.
 
+A pair whose two sides have equal ``terms`` is not probed at all: equal
+coefficients and the same factors in the same order make the two sides
+one operator, which agrees with itself on every monomial.  Classically
+AuxC18 compares the bracket [f_i, X(j,i-1)] with the table's X(j,i), the
+node built as that same bracket.
+
 A node's memo is an (images, pool) pair, made on the node's first nested
 visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
 and every monomial and coefficient stored is taken from ``pool``, so a
@@ -530,6 +536,8 @@ def first_failure(pairs, degree):
     and the residual is lhs - rhs there.  A pair is probed only on the
     monomials inside its joint support, since its verdict anywhere else is
     that of a monomial it was probed on before (see the module docstring).
+    A pair whose sides have equal ``terms`` (equal coefficients, the same
+    factors in the same order) is one operator and is not probed at all.
     """
     first = None
     for k, (a, b) in enumerate(pairs):
@@ -537,6 +545,8 @@ def first_failure(pairs, degree):
             first, basis = a, tuple(basis_monomials(a.cs, degree))
         first._check(a)
         a._check(b)
+        if a.terms == b.terms:
+            continue    # one operator: the pair holds everywhere
         joint = a._mask | b._mask
         for mono in basis:
             if mono & joint != mono:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsuperalg.scalars import qpow
+from qsuperalg.scalars import ONE, qpow
 from qsuperalg.superpoly import MONO_ONE
 from qsuperalg import algebra
 from qsuperalg.operators import (OpExpr, basis_monomials, graded_commutator,
@@ -79,6 +79,19 @@ def test_classical_generators_have_no_q():
         for op in fam.values():
             for _, ops in op.terms:
                 assert all(kind in ("x", "d", "lin") for kind, _ in ops)
+
+
+@pytest.mark.parametrize("MN", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1),
+                                (1, 2)])
+def test_classical_h_is_multiplication_by_its_form(MN):
+    """h_i is the one factor {t_form[i]}, which the classical weight
+    relations h_i x = x {t_form[i] + k} read, with symbolic and integer
+    weights."""
+    data = build_root_data(*MN)
+    for weights in (None, [3 - 2 * i for i in range(data.K)]):
+        gens = build_generators(data, weights, "classical")
+        for i in range(1, data.K + 1):
+            assert gens.t[i].terms == ((ONE, (("lin", gens.t_form[i]),)),)
 
 
 def test_t_inverse():

@@ -731,3 +731,113 @@ def test_negative_degree_is_rejected():
         basis_monomials(CS, -1)
     with pytest.raises(ValueError):
         op_eq_on_basis(x(Z), OpExpr.zero(CS), -1)
+
+
+# ---------------------------------------------------------------------------
+# pairs whose two sides are one sum of terms
+# ---------------------------------------------------------------------------
+
+def _record_applied(monkeypatch):
+    """Record every operator ``apply_monomial`` is called on from now on,
+    nested calls included, in a list that holds them."""
+    applied = []
+    apply = OpExpr.apply_monomial
+
+    def recorded(self, mono):
+        applied.append(self)
+        return apply(self, mono)
+    monkeypatch.setattr(OpExpr, "apply_monomial", recorded)
+    return applied
+
+
+def test_sides_with_equal_terms_are_not_probed(monkeypatch):
+    """Two separately built brackets [f_2, X(1,1)] are one sum of terms:
+    the pair holds with no operator applied."""
+    gens = build_classical(build_root_data(1, 1))
+    a = graded_commutator(gens.f[2], gens.roots[1, 1])
+    b = graded_commutator(gens.f[2], gens.roots[1, 1])
+    assert a is not b and a.terms == b.terms
+    applied = _record_applied(monkeypatch)
+    assert first_failure([(a, b)], 3) is None
+    assert op_eq_on_basis(a, b, 3) == (True, None)
+    assert applied == []
+
+
+def test_sides_with_equal_terms_still_check_their_charts():
+    other = CoordSystem(0, 1)
+    a, b = x(Z), OpExpr.term(other, (("x", Z),))
+    assert a.terms == b.terms
+    with pytest.raises(ContextMismatch):
+        first_failure([(a, b)], 2)
+    with pytest.raises(ContextMismatch):
+        first_failure([(a, a), (b, b)], 2)
+
+
+def test_sides_with_the_same_terms_in_another_order_are_probed(monkeypatch):
+    a = x(Z) + D(T1)
+    b = D(T1) + x(Z)
+    assert a.terms != b.terms
+    applied = _record_applied(monkeypatch)
+    assert first_failure([(a, b)], 2) is None
+    assert a in applied and b in applied
+
+
+@pytest.mark.parametrize("MN", [(1, 1), (2, 1)], ids=["(1,1)", "(2,1)"])
+def test_classical_auxc18_applies_nothing(monkeypatch, MN):
+    """Classically AuxC18 compares [f_i, X(j,i-1)] with the table's X(j,i),
+    the node built as that same bracket."""
+    gens = build_classical(build_root_data(*MN))
+    instances = _suite_instances(monkeypatch, verify.check_aux, gens, 3,
+                                 3)["AuxC18"]
+    assert instances
+    applied = _record_applied(monkeypatch)
+    assert verify._run("AuxC18", 3, instances).status == "pass"
+    assert applied == []
+
+
+def test_every_quantum_auxq41_instance_is_probed(monkeypatch):
+    instances = _auxq41(monkeypatch)
+    applied = _record_applied(monkeypatch)
+    assert verify._run("AuxQ41", 3, instances).status == "pass"
+    for label, lhs, rhs in instances:
+        assert lhs.terms != rhs.terms, label
+        assert any(op is lhs for op in applied), label
+        assert any(op is rhs for op in applied), label
+
+
+def test_classical_run_work_count(monkeypatch):
+    """``sum_of_products`` calls per suite, and ``apply_monomial`` calls,
+    in run_full(2, 1, degree=3, nmax=3, variant="classical").
+
+    Stated as brackets [h_i, x] = k x, C1, C2, C3 and WeightConj made
+    1,100, 1,429, 4,173 and 38,207 sums, and AuxC18 2,300 applications,
+    114,338 sums in all.  As h_i x = x (h_i + k) each side is one term
+    whose images are single monomials, and AuxC18's sides are one sum of
+    terms.
+    """
+    sums, applies, per_suite = [0], [0], {}
+    kernel = operators.sum_of_products
+    apply = OpExpr.apply_monomial
+    run = verify._run
+
+    def summed(terms):
+        sums[0] += 1
+        return kernel(terms)
+
+    def applied(self, mono):
+        applies[0] += 1
+        return apply(self, mono)
+
+    def counted(tag, degree, instances):
+        before = sums[0], applies[0]
+        result = run(tag, degree, instances)
+        per_suite[tag] = (sums[0] - before[0], applies[0] - before[1])
+        return result
+    monkeypatch.setattr(operators, "sum_of_products", summed)
+    monkeypatch.setattr(OpExpr, "apply_monomial", applied)
+    monkeypatch.setattr(verify, "_run", counted)
+    assert verify.run_full(2, 1, degree=3, nmax=3, variant="classical").ok
+    for tag in ("C1", "C2", "C3", "WeightConj"):
+        assert per_suite[tag][0] == 0, tag
+    assert per_suite["AuxC18"] == (0, 0)
+    assert sums[0] == 58821

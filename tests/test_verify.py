@@ -7,9 +7,10 @@ import pytest
 from qsuperalg import verify
 from qsuperalg.scalars import RingElem, qpow
 from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
-from qsuperalg.operators import OpExpr, op_eq_on_basis
+from qsuperalg.operators import OpExpr, graded_commutator, op_eq_on_basis
 from qsuperalg.grammar import parse_opexpr
-from qsuperalg.algebra import build_root_data, build_quantum, build_classical
+from qsuperalg.algebra import (GeneratorSet, build_root_data, build_quantum,
+                               build_classical)
 from qsuperalg.verify import (run_full, check_cartan_relations,
                               check_aux, check_weight_conjugation,
                               check_heisenberg, check_highest_weight)
@@ -222,3 +223,118 @@ def test_nmax_below_one_is_rejected(monkeypatch):
     monkeypatch.setattr(verify, "build_generators", unreachable)
     with pytest.raises(ValueError, match="nmax"):
         run_full(1, 0, degree=2, nmax=0)
+
+
+def _stated_and_checked(monkeypatch, gens, degree):
+    """Run the generator-dependent suites on gens at degree, nmax 2.
+    Returns each suite's instances as stated, by tag, and its result."""
+    stated, results = {}, {}
+    run = verify._run
+
+    def recorded(tag, deg, instances):
+        stated[tag] = list(instances)
+        results[tag] = run(tag, deg, stated[tag])
+        return results[tag]
+    with monkeypatch.context() as mp:
+        mp.setattr(verify, "_run", recorded)
+        check_cartan_relations(gens, degree)
+        verify.check_serre(gens, degree)
+        check_aux(gens, degree, 2)
+        check_weight_conjugation(gens, degree)
+        check_highest_weight(gens)
+    return stated, results
+
+
+def _bracket_form(gens):
+    """The classical weight suites as brackets: (label, [h_i, x], k x) for
+    each instance of C1, C2, C3 and WeightConj, by tag."""
+    data, X = gens.data, gens.roots
+    K = data.K
+    h = gens.t
+
+    def bracket(i, x, k):
+        return graded_commutator(h[i], x), x.scale(RingElem.from_rational(k))
+
+    pairs = [(i, j) for i in range(1, K + 1) for j in range(1, K + 1)]
+    return {
+        "C1": [("i=%d,j=%d" % (i, j), *bracket(i, h[j], 0))
+               for i, j in pairs if i < j],
+        "C2": [("i=%d,j=%d" % (i, j), *bracket(i, gens.e[j], data.a(i, j)))
+               for i, j in pairs],
+        "C3": [("i=%d,j=%d" % (i, j), *bracket(i, gens.f[j], -data.a(i, j)))
+               for i, j in pairs],
+        "WeightConj": [
+            ("i=%d,l=%d,m=%d" % (i, l, m),
+             *bracket(i, X[(l, m)], -data.a_sum(i, l, m)))
+            for i in range(1, K + 1) for l in range(1, K + 1)
+            for m in range(l, K + 1)],
+    }
+
+
+@pytest.mark.parametrize("MN", [(1, 1), (2, 1)], ids=["(1,1)", "(2,1)"])
+def test_classical_weight_statement_is_the_bracket_operator(monkeypatch, MN):
+    """h_i x = x (h_i + k) has lhs - rhs = [h_i, x] - k x as an operator,
+    for every instance of C1, C2, C3 and WeightConj."""
+    gens = build_classical(build_root_data(*MN))
+    stated, _ = _stated_and_checked(monkeypatch, gens, 0)
+    for tag, want in _bracket_form(gens).items():
+        assert [label for label, _, _ in stated[tag]] \
+            == [label for label, _, _ in want]
+        for (label, lhs, rhs), (_, blhs, brhs) in zip(stated[tag], want):
+            assert op_eq_on_basis(lhs - rhs, blhs - brhs, 3) == (True, None), \
+                (tag, label)
+
+
+def _corrupted_classical_sets(MN):
+    """Classical sets at MN with one generator corrupted: each e_i scaled
+    by 2, each f_i with the sign of its {...} form flipped, and e_i and
+    f_i each plus the other, terms of the same parity and the opposite
+    weight."""
+    data = build_root_data(*MN)
+    gens = build_classical(data)
+    cs = gens.cs
+
+    def corrupted(e, f):
+        return GeneratorSet(data, cs, "classical", None, gens.t, e, f,
+                            gens.t_form)
+
+    for i in range(1, data.K + 1):
+        yield "2 e_%d" % i, corrupted(
+            {**gens.e, i: gens.e[i].scale(RingElem.from_rational(2))},
+            gens.f)
+        *rest, (c, (xop, (kind, form))) = gens.f[i].terms
+        assert kind == "lin"
+        flipped = OpExpr(cs, (*rest, (c, (xop, (kind, -form)))))
+        yield "-{} f_%d" % i, corrupted(gens.e, {**gens.f, i: flipped})
+        yield "e_%d + f_%d" % (i, i), corrupted(
+            {**gens.e, i: gens.e[i] + gens.f[i]},
+            {**gens.f, i: gens.f[i] + gens.e[i]})
+
+
+def test_corrupted_classical_sets_keep_the_bracket_verdicts(monkeypatch):
+    """On every corrupted classical set at (1,1) and (2,1), degree 2, each
+    suite's status and witness are those of its instances checked one by
+    one, with C1, C2, C3 and WeightConj stated as brackets: the weight
+    relations keep the bracket form's first failing instance, monomial
+    and residual."""
+    failing = set()
+    for MN in ((1, 1), (2, 1)):
+        for name, gens in _corrupted_classical_sets(MN):
+            stated, results = _stated_and_checked(monkeypatch, gens, 2)
+            stated.update(_bracket_form(gens))
+            for tag, instances in stated.items():
+                degree = 0 if tag == "HighestWeight" else 2
+                want = _one_instance_after_another(instances, degree)
+                status = "fail" if want else "pass"
+                got = results[tag]
+                assert (got.status, got.witness) == (status, want), \
+                    (MN, name, tag)
+                if want:
+                    failing.add((MN, name, tag))
+    # 115 suites fail, among them C2, C3 and WeightConj on every
+    # e_i + f_i set, each with a witness of its own
+    assert len(failing) == 115
+    swapped = [(MN, name) for MN, name, tag in failing if tag == "C2"]
+    assert len(swapped) == 7
+    for MN, name in swapped:
+        assert {(MN, name, "C3"), (MN, name, "WeightConj")} <= failing
