@@ -2,7 +2,7 @@
 superalgebra of type sl(M+1|N+1) as q-difference operators on a
 super-polynomial coordinate space."""
 
-from .scalars import RingElem, NonPolynomialLimit, qnum, qpow
+from .scalars import RingElem, qnum, qpow
 from .superpoly import CoordSystem, coord_parity
 from .operators import (LinForm, OpExpr, ContextMismatch, MixedParity,
                         graded_commutator, first_failure, op_eq_on_basis,

@@ -56,14 +56,6 @@ class RootData:
         """sum_{r=lo}^{hi} a_{ir}; zero for an empty range."""
         return sum(self.a(i, r) for r in range(lo, hi + 1))
 
-    def root_inner(self, i, j):
-        """(alpha_i | alpha_j) under (eps_i | eps_j) = nu_i delta_ij, with
-        alpha_i = nu_i eps_i - nu_{i+1} eps_{i+1}."""
-        nu = self.nu
-        ai = {i: nu[i], i + 1: -nu[i + 1]}
-        aj = {j: nu[j], j + 1: -nu[j + 1]}
-        return sum(c * aj[k] * nu[k] for k, c in ai.items() if k in aj)
-
 
 def build_root_data(M, N):
     return RootData(M, N)

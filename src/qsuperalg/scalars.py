@@ -28,7 +28,12 @@ lifted, and take the max over the parts of a sum.  A bound past LIMIT is
 checked against the exact exponents and raises ``OverflowError`` if they
 pass it too: a digit never wraps silently.
 
-Division accepts only a marker-free c q^a (q - q^-1)^j; else ``ValueError``.
+Scalars are only added, subtracted and multiplied, so every denominator
+comes from a q-number of a marker form.  Sending each marker Qi to q^{n_i}
+is a ring map that fixes q and turns [c + lambda] into the Laurent
+polynomial [c + n.lambda], so it takes every scalar to one with k = 0.  A
+marker-free scalar is its own image: it has k = 0, and its value at q = 1
+(``eval_q1``) is the sum of its coefficients.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ _W = 16
 _H = 1 << (_W - 1)
 _MASK = (1 << _W) - 1
 LIMIT = _H - 1
-
-
-class NonPolynomialLimit(Exception):
-    """Raised when q -> 1 hits a genuinely singular denominator."""
 
 
 # ---------------------------------------------------------------------------
@@ -255,36 +256,6 @@ class RingElem:
         vb = 0 if len(b) == 1 else other._flags()
         return _canonical(n, k, bound, va | vb)
 
-    def __truediv__(self, other):
-        """Division by a marker-free c * q^a * (q - q^-1)^j."""
-        if other.has_markers():
-            raise ValueError("can only divide by marker-free scalars")
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero scalar")
-        d, j = other._n, 0
-        while len(d) > 1:
-            if _flags(d) != 3:
-                raise ValueError("can only divide by c q^a (q-q^-1)^j")
-            d = _div_qsq1(d)
-            j += 1
-        # self / (c q^e (q^2-1)^(j - k_other))
-        ((e, c),) = d.items()
-        inv = 1 / Fraction(c)
-        k = self._k + j - other._k
-        bound = _fit(_exact_bound(self._n) + abs(e) + 2 * max(-k, 0))
-        n = {key - e: _rational(inv * v) for key, v in self._n.items()}
-        if k < 0:
-            return RingElem(_lift(n, -k), 0, bound)
-        return _canonical(n, k, bound, self._v)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers not supported")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             return NotImplemented
@@ -296,21 +267,14 @@ class RingElem:
     # -- evaluation ---------------------------------------------------------
 
     def eval_q1(self):
-        """Substitute q = 1; exact rational result.
-
-        Requires all weight markers to have been bound to integers first.
-        A removable singularity gives its limit h(1) / 2^k, where
-        num = (q - 1)^k h and h(1) = sum c binom(e, k) over the terms c q^e.
-        """
+        """The value at q = 1 of a marker-free scalar with k = 0: the sum of
+        its coefficients.  Any other scalar raises ``ValueError``."""
         if self.has_markers():
             raise ValueError("weight markers present; bind weights first")
-        k = self._k
-        # num at q = 1 + t is sum_i t^i sum_e c binom(e, i)
-        taylor = [sum(c * _binom(e, i) for e, c in self._n.items())
-                  for i in range(k + 1)]
-        if any(taylor[:k]):
-            raise NonPolynomialLimit("denominator vanishes at q = 1")
-        return _rational(Fraction(taylor[k], 2 ** k))
+        if self._k:
+            raise ValueError("a denominator (q^2 - 1)^%d; only a Laurent "
+                             "polynomial is evaluated at q = 1" % self._k)
+        return _rational(sum(self._n.values()))
 
     # -- rendering ----------------------------------------------------------
 
@@ -330,11 +294,6 @@ class RingElem:
 
     def __repr__(self):
         return "RingElem(%s)" % self.render()
-
-
-def _binom(e, i):
-    """e choose i, for any integer e."""
-    return comb(e, i) if e >= 0 else (-1) ** i * comb(i - e - 1, i)
 
 
 def sum_of_products(terms):
@@ -440,7 +399,6 @@ _QSQ1 = {2: 1, 0: -1}
 ZERO = RingElem({}, 0, 0, 3)
 ONE = RingElem({0: 1}, 0, 0, 0)
 MINUS_ONE = RingElem({0: -1}, 0, 0, 0)
-Q_MINUS_QINV = RingElem({1: 1, -1: -1}, 0, 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -329,9 +329,8 @@ def check_weight_conjugation(gens, degree):
         for i in range(1, K + 1):
             for l in range(1, K + 1):
                 for m in range(l, K + 1):
-                    total = sum(data.a(i, r) for r in range(l, m + 1))
                     yield ("i=%d,l=%d,m=%d" % (i, l, m),
-                           *d.weight(i, X[(l, m)], -total))
+                           *d.weight(i, X[(l, m)], -data.a_sum(i, l, m)))
 
     return [_run("WeightConj", degree, instances())]
 

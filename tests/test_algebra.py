@@ -38,12 +38,21 @@ def test_cartan_matrix_purely_even():
     assert data.cartan == ((2, -1, 0), (-1, 2, -1), (0, -1, 0))
 
 
+def _root_inner(data, i, j):
+    """(alpha_i | alpha_j) under (eps_i | eps_j) = nu_i delta_ij, with
+    alpha_i = nu_i eps_i - nu_{i+1} eps_{i+1}."""
+    nu = data.nu
+    ai = {i: nu[i], i + 1: -nu[i + 1]}
+    aj = {j: nu[j], j + 1: -nu[j + 1]}
+    return sum(c * aj[k] * nu[k] for k, c in ai.items() if k in aj)
+
+
 def test_cartan_matches_root_inner_products():
     for M, N in [(1, 0), (1, 1), (2, 1), (1, 2)]:
         data = build_root_data(M, N)
         for i in range(1, data.K + 1):
             for j in range(1, data.K + 1):
-                assert data.a(i, j) == data.root_inner(i, j)
+                assert data.a(i, j) == _root_inner(data, i, j)
 
 
 def test_rejects_negative_rank():
@@ -197,6 +206,28 @@ def _classical_action(op, mono):
     for m, c in op.apply_monomial(mono).items():
         out[m] = c.eval_q1()
     return out
+
+
+def _denominator_powers(gens):
+    """The denom_pow of every coefficient of every generator's and root
+    vector's image on the degree-3 basis."""
+    nodes = [*gens.t.values(), *gens.e.values(), *gens.f.values(),
+             *gens.roots.values()]
+    return {c.denom_pow for mono in basis_monomials(gens.cs, 3)
+            for node in nodes for c in node.apply_monomial(mono).values()}
+
+
+@pytest.mark.parametrize("variant", ["prop2", "prop3"])
+@pytest.mark.parametrize("MN", [(1, 0), (1, 1), (2, 1)],
+                         ids=["(1,0)", "(1,1)", "(2,1)"])
+def test_integer_weights_leave_no_denominator(MN, variant):
+    # eval_q1 takes no denominator: with the weights bound, every q-number
+    # is a Laurent polynomial, and so is every coefficient built from them
+    data = build_root_data(*MN)
+    weights = [(-1) ** k * (k + 1) for k in range(data.K)]
+    assert _denominator_powers(build_quantum(data, weights, variant)) == {0}
+    # the same loop sees the (q - q^-1) of a symbolic weight's q-number
+    assert 1 in _denominator_powers(build_quantum(data, None, variant))
 
 
 def test_q_one_limit_matches_classical_generators():

@@ -1,14 +1,18 @@
 """No code that nothing calls: every top-level function and class of the
 package, and every method that is not a dunder, is referenced by name
-somewhere in the package or its tests.  And no package module reaches
-into another for a ``_``-prefixed name."""
+somewhere in the package, the benchmark harness (``bench/``) or the python
+examples of README.md.  A name that only tests reach does not count as
+used.  And no package module reaches into another for a ``_``-prefixed
+name."""
 
 import ast
 import os
+import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "qsuperalg")
-TESTS = os.path.join(ROOT, "tests")
+BENCH = os.path.join(ROOT, "bench")
+README = os.path.join(ROOT, "README.md")
 
 
 def _trees(directory):
@@ -44,11 +48,14 @@ def _references(tree):
 
 def test_every_definition_is_referenced():
     defs, refs = [], set()
-    for directory in (PACKAGE, TESTS):
-        for name, tree in _trees(directory):
-            if directory == PACKAGE:
-                defs += _definitions(name[:-len(".py")], tree)
-            refs.update(_references(tree))
+    for name, tree in _trees(PACKAGE):
+        defs += _definitions(name[:-len(".py")], tree)
+        refs.update(_references(tree))
+    for _, tree in _trees(BENCH):
+        refs.update(_references(tree))
+    with open(README, encoding="utf-8") as fh:
+        for code in re.findall(r"```python\n(.*?)```", fh.read(), re.S):
+            refs.update(_references(ast.parse(code)))
     assert defs
     assert [q for q, bare in defs if bare not in refs] == []
 

@@ -10,8 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsuperalg.scalars import (RingElem, ONE, MINUS_ONE, Q_MINUS_QINV, qpow,
-                               qnum)
+from qsuperalg.scalars import RingElem, ONE, MINUS_ONE, qpow, qnum
 from qsuperalg import operators, superpoly, verify
 from qsuperalg.algebra import build_classical, build_quantum, build_root_data
 from qsuperalg.superpoly import (CoordSystem, MONO_ONE, mono_pack,
@@ -253,7 +252,7 @@ def _elementary(cs):
 
 
 _SCALARS = (MINUS_ONE, qpow(1), qnum(2), qpow(-1, ((1, 1),)),
-            RingElem.from_rational(Fraction(1, 2)), ONE / Q_MINUS_QINV)
+            RingElem.from_rational(Fraction(1, 2)), qnum(0, ((1, 1),)))
 
 
 def _times(a, b):
@@ -403,8 +402,8 @@ def test_memoised_evaluation_matches_unshared_and_unmemoised(MN):
     if cs.K >= 4:
         assert any(_skips_an_odd_coordinate(cs, node)
                    for op in ops.values() for node in _nested_nodes(op))
-    # a (q - q^-1) denominator and the weight marker Q1
-    coeff = RingElem.monomial(1, ((1, 1),)) * (ONE / Q_MINUS_QINV)
+    # [1 + lambda_1]: a (q - q^-1) denominator and the weight marker Q1
+    coeff = qnum(1, ((1, 1),))
     monos = list(basis_monomials(cs, 3))
     for name, op in ops.items():
         scaled = op.scale(coeff)
