@@ -5,8 +5,7 @@ super-polynomial coordinate space."""
 from .scalars import RingElem, qnum, qpow
 from .superpoly import CoordSystem, coord_parity
 from .operators import (LinForm, OpExpr, ContextMismatch, MixedParity,
-                        graded_commutator, first_failure, op_eq_on_basis,
-                        basis_monomials)
+                        graded_commutator, first_failure, basis_monomials)
 from .algebra import (RootData, GeneratorSet, build_root_data,
                       build_classical, build_quantum,
                       check_linform_identities)

@@ -24,20 +24,16 @@ from .verify import run_full
 
 
 def _parse_weights(cfg, parser):
-    if cfg.weights is not None and cfg.mode != "integer":
-        parser.error("--weights needs --mode integer (symbolic mode keeps "
-                     "the weights as symbols)")
-    if cfg.mode == "integer":
-        if not cfg.weights:
-            parser.error("--mode integer requires --weights")
-        try:
-            weights = [int(w) for w in cfg.weights.split(",")]
-        except ValueError:
-            parser.error("--weights must be a comma-separated integer list")
-        if len(weights) != cfg.M + cfg.N + 1:
-            parser.error("expected %d weights" % (cfg.M + cfg.N + 1))
-        return weights
-    return None
+    """The --weights list as ints, or None: symbolic weights."""
+    if cfg.weights is None:
+        return None
+    try:
+        weights = [int(w) for w in cfg.weights.split(",")]
+    except ValueError:
+        parser.error("--weights must be a comma-separated integer list")
+    if len(weights) != cfg.M + cfg.N + 1:
+        parser.error("expected %d weights" % (cfg.M + cfg.N + 1))
+    return weights
 
 
 def _open_output(cfg, parser):
@@ -78,7 +74,7 @@ def cmd_generators(cfg, out):
         payload = {
             "algebra": {"M": cfg.M, "N": cfg.N},
             "variant": cfg.variant,
-            "mode": cfg.mode,
+            "mode": "symbolic" if cfg.weights is None else "integer",
             "generators": {
                 name: [_term_dict(gens.cs, c, ops) for c, ops in op.terms]
                 for name, op in names},
@@ -91,8 +87,8 @@ def cmd_generators(cfg, out):
 
 
 def cmd_verify(cfg, out):
-    report = run_full(cfg.M, cfg.N, cfg.mode, cfg.degree, cfg.nmax,
-                      cfg.variant, cfg.weights)
+    report = run_full(cfg.M, cfg.N, cfg.degree, cfg.nmax, cfg.variant,
+                      cfg.weights)
     if cfg.format == "json":
         out.write(report.to_json())
     else:
@@ -152,9 +148,8 @@ def cmd_example_sl21(cfg, out):
 _FLAGS = {
     "M": dict(type=int, default=1),
     "N": dict(type=int, default=0),
-    "mode": dict(choices=("symbolic", "integer"), default="symbolic"),
-    "weights": dict(default=None, help="comma-separated integers, required "
-                                       "with --mode integer"),
+    "weights": dict(default=None, help="comma-separated integers, one "
+                                       "per weight; symbolic when omitted"),
     "degree": dict(type=int, default=3),
     "nmax": dict(type=int, default=2),
     "variant": dict(choices=("prop2", "prop3", "classical"), default="prop3"),
@@ -177,13 +172,13 @@ def build_parser():
         return p
 
     add(sub.add_parser("generators", help="print a generator set"),
-        "M", "N", "mode", "weights", "variant", "format", "output")
+        "M", "N", "weights", "variant", "format", "output")
     add(sub.add_parser("verify", help="run the relation suites"), *_FLAGS)
     add(sub.add_parser("identities", help="check the linear-form identities"),
         "M", "N", "output")
     # the transcript is fixed at sl(2|1), (M,N) = (1,0)
     add(sub.add_parser("example-sl21", help="transcript of the [e2,f2] check"),
-        "mode", "weights", "output").set_defaults(M=1, N=0)
+        "weights", "output").set_defaults(M=1, N=0)
     return parser
 
 

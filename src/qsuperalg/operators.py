@@ -114,8 +114,8 @@ class LinForm:
     ``coeffs`` maps coordinate positions to integers, ``const`` is the
     integer part.  ``lam`` holds the integer multiple of each weight as
     sorted (weight index, multiple) pairs without zeros, the marker pairs
-    ``qpow``, ``qnum`` and ``lin`` take; it is given as a mapping or as
-    pairs, whose repeated indices add.
+    ``qpow``, ``qnum`` and ``lin`` take; it is given as pairs, whose
+    repeated indices add.
     """
 
     __slots__ = ("coeffs", "const", "lam", "_fields")
@@ -127,7 +127,7 @@ class LinForm:
                              for p, c in self.coeffs.items())
         self.const = const
         la = {}
-        for i, c in (lam.items() if isinstance(lam, dict) else lam):
+        for i, c in lam:
             la[i] = la.get(i, 0) + c
         self.lam = tuple(sorted((i, c) for i, c in la.items() if c))
 
@@ -555,15 +555,9 @@ def first_failure(pairs, degree):
             img_b = b.apply_monomial(mono)
             # no image stores a zero coefficient, so == is exact equality
             if img_a != img_b:
-                return k, mono, sp.poly_sub(img_a, img_b)
+                # the residual: img_a's terms plus img_b's, each negated
+                diff = {m: [(c, None, False)] for m, c in img_a.items()}
+                for m, c in img_b.items():
+                    diff.setdefault(m, []).append((c, None, True))
+                return k, mono, _summed(diff)
     return None
-
-
-def op_eq_on_basis(a, b, degree):
-    """Extensional equality on all monomials of degree <= degree.
-
-    Returns (True, None) or (False, (monomial, residual polynomial)),
-    the witness being the first failing monomial in canonical order.
-    """
-    found = first_failure(((a, b),), degree)
-    return (True, None) if found is None else (False, found[1:])

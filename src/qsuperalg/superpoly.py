@@ -137,31 +137,6 @@ def mono_render(cs, mono):
     return " ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# polynomials: dict monomial -> RingElem, no zero coefficients stored
-# ---------------------------------------------------------------------------
-
-def poly_add_term(poly, mono, coeff):
-    """Accumulate coeff onto poly[mono] in place."""
-    cur = poly.get(mono)
-    if cur is None:
-        if not coeff.is_zero():
-            poly[mono] = coeff
-    else:
-        s = cur + coeff
-        if s.is_zero():
-            del poly[mono]
-        else:
-            poly[mono] = s
-
-
-def poly_sub(a, b):
-    out = dict(a)
-    for mono, c in b.items():
-        poly_add_term(out, mono, -c)
-    return out
-
-
 def poly_render(cs, a):
     if not a:
         return "0"

@@ -390,26 +390,18 @@ def check_highest_weight(gens):
 # full run
 # ---------------------------------------------------------------------------
 
-def run_full(M, N, mode="symbolic", degree=3, nmax=2, variant="prop3",
-             weights=None):
+def run_full(M, N, degree=3, nmax=2, variant="prop3", weights=None):
     """Build the algebra and run every applicable suite.
 
-    ``mode`` is "symbolic" (weight markers, no ``weights``) or "integer"
-    (requires ``weights``, a list of M+N+1 integers).
+    ``weights`` is None for symbolic weights (the markers Q_i), or a list
+    of M+N+1 integers; the report's mode reads "symbolic" or "integer".
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    if mode not in ("symbolic", "integer"):
-        raise ValueError("mode must be symbolic or integer")
-    if mode == "integer":
-        if weights is None or len(weights) != M + N + 1:
-            raise ValueError("integer mode needs %d weights" % (M + N + 1))
-    elif weights is not None:
-        raise ValueError("weights need mode integer (symbolic mode keeps "
-                         "the weights as symbols)")
     gens = build_generators(build_root_data(M, N), weights, variant)
+    mode = "symbolic" if weights is None else "integer"
     report = VerificationReport(M, N, mode, variant, degree, nmax)
     report.suites += check_cartan_relations(gens, degree)
     report.suites += check_serre(gens, degree)

@@ -7,7 +7,7 @@ import sys
 import time
 
 from qsuperalg.superpoly import CoordSystem
-from qsuperalg.operators import OpExpr, basis_monomials, op_eq_on_basis
+from qsuperalg.operators import OpExpr, basis_monomials, first_failure
 from qsuperalg.algebra import (build_root_data, build_quantum,
                                build_classical, check_linform_identities)
 from qsuperalg.verify import (check_cartan_relations, check_serre, check_aux,
@@ -45,7 +45,7 @@ def test_criterion_2_odd_cartan_pairing_degree_6():
     gens = build_quantum(build_root_data(1, 0))
     lhs = gens.e[2] @ gens.f[2] + gens.f[2] @ gens.e[2]
     rhs = OpExpr.term(gens.cs, (("qnum", gens.t_form[2]),))
-    ok = op_eq_on_basis(lhs, rhs, 6)[0]
+    ok = first_failure([(lhs, rhs)], 6) is None
     _report("2 ([e2,f2] pairing at degree 6)", ok, t0, 10)
 
 
@@ -67,9 +67,9 @@ def test_criterion_4_variant_agreement():
         g2 = build_quantum(data, variant="prop2")
         g3 = build_quantum(data, variant="prop3")
         for i in range(1, data.K + 1):
-            ok = ok and op_eq_on_basis(g2.t[i], g3.t[i], 3)[0]
-            ok = ok and op_eq_on_basis(g2.e[i], g3.e[i], 3)[0]
-            ok = ok and op_eq_on_basis(g2.f[i], g3.f[i], 3)[0]
+            ok = ok and first_failure([(g2.t[i], g3.t[i])], 3) is None
+            ok = ok and first_failure([(g2.e[i], g3.e[i])], 3) is None
+            ok = ok and first_failure([(g2.f[i], g3.f[i])], 3) is None
     _report("4 (triple-sum and reduced variants agree)", ok, t0, 120)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from qsuperalg import cli, operators
 from qsuperalg.superpoly import CoordSystem, FIELD_TOP, mono_pack
-from qsuperalg.operators import op_eq_on_basis
+from qsuperalg.operators import first_failure
 from qsuperalg.algebra import build_root_data, build_quantum
 from qsuperalg.grammar import parse_opexpr
 
@@ -40,9 +40,9 @@ def test_generators_round_trip_through_grammar():
         name, text = line.split(" = ", 1)
         built[name] = parse_opexpr(text, cs)
     for i in (1, 2, 3):
-        assert op_eq_on_basis(built["t%d" % i], gens.t[i], 2)[0]
-        assert op_eq_on_basis(built["e%d" % i], gens.e[i], 2)[0]
-        assert op_eq_on_basis(built["f%d" % i], gens.f[i], 2)[0]
+        assert first_failure([(built["t%d" % i], gens.t[i])], 2) is None
+        assert first_failure([(built["e%d" % i], gens.e[i])], 2) is None
+        assert first_failure([(built["f%d" % i], gens.f[i])], 2) is None
 
 
 def test_generators_json_is_valid():
@@ -77,18 +77,23 @@ def test_verify_classical_variant():
 
 
 def test_verify_integer_mode():
+    # --weights alone binds the weights, and the report says so
     out = run_cli("verify", "--M", "1", "--N", "0", "--degree", "2",
-                  "--mode", "integer", "--weights", "3,-1")
+                  "--weights", "3,-1")
     assert out.returncode == 0
+    assert out.stdout.startswith(
+        "relation suites for (M,N)=(1,0) variant=prop3 mode=integer ")
 
 
 def test_usage_errors_exit_2():
     assert run_cli().returncode == 2
     assert run_cli("bogus").returncode == 2
     assert run_cli("verify", "--variant", "bogus").returncode == 2
-    assert run_cli("verify", "--mode", "integer").returncode == 2
+    assert run_cli("verify", "--weights", "1,2,3").returncode == 2
+    assert run_cli("verify", "--weights", "1,x").returncode == 2
+    # the weights decide the mode; there is no --mode flag
     assert run_cli("verify", "--mode", "integer",
-                   "--weights", "1,2,3").returncode == 2
+                   "--weights", "2,-1").returncode == 2
     assert run_cli("verify", "--M", "-1").returncode == 2
 
 
@@ -132,19 +137,22 @@ def test_unwritable_output_exits_2(tmp_path):
         assert out.stdout == ""
 
 
-def test_weights_without_integer_mode_exit_2():
-    for args in (("generators", "--weights", "1,2"),
-                 ("verify", "--M", "0", "--N", "0", "--weights", "5"),
-                 ("example-sl21", "--weights", "1,2")):
-        out = run_cli(*args)
+def test_wrong_weight_count_exits_2_before_output_is_opened(tmp_path):
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    for args in (("generators", "--weights", "1,2,3"),
+                 ("verify", "--M", "0", "--N", "0", "--weights", "5,6"),
+                 ("example-sl21", "--weights", "1")):
+        out = run_cli(*args, "--output", str(target))
         assert out.returncode == 2, args
-        assert "--weights needs --mode integer" in out.stderr
+        assert "expected " in out.stderr and "weights" in out.stderr
         assert out.stdout == ""
+        assert target.read_text() == "kept\n"
 
 
 def test_scalar_exponent_overflow_exits_2():
-    out = run_cli("verify", "--M", "1", "--N", "0", "--mode", "integer",
-                  "--weights", "40000,1", "--degree", "1")
+    out = run_cli("verify", "--M", "1", "--N", "0", "--weights", "40000,1",
+                  "--degree", "1")
     assert out.returncode == 2
     assert out.stderr == ("qsuperalg: error: exponents up to 40000 leave "
                           "the packed field [-32767, 32767]\n")

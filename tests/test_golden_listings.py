@@ -1,9 +1,9 @@
 """Generator listings and the identities report compared byte for byte.
 
 The fixtures hold the output of ``qsuperalg generators`` for every variant
-at four ranks, one integer-mode listing, and ``qsuperalg identities`` up to
-(M,N) = (7,7).  A change in how a generator formula or a reduction
-identity is written must leave all of them unchanged.
+at four ranks, one listing with integer weights, and ``qsuperalg
+identities`` up to (M,N) = (7,7).  A change in how a generator formula or
+a reduction identity is written must leave all of them unchanged.
 
 Regenerate (only when a listing is meant to change) with
 ``PYTHONPATH=src python3 tests/test_golden_listings.py``.
@@ -28,8 +28,7 @@ COMMANDS = {
     for M, N in ((0, 0), (1, 1), (2, 1), (1, 2))
 }
 COMMANDS["generators_prop3_11_integer.txt"] = [
-    "generators", "--M", "1", "--N", "1", "--mode", "integer",
-    "--weights", "2,-1,3"]
+    "generators", "--M", "1", "--N", "1", "--weights", "2,-1,3"]
 COMMANDS["identities_77.txt"] = ["identities", "--M", "7", "--N", "7"]
 
 

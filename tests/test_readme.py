@@ -1,5 +1,6 @@
 """The python examples of README.md run and print what their comments say,
-and its ``qsuperalg`` commands exit with 0."""
+its ``qsuperalg`` commands exit with 0, and its flag table lists exactly the
+flags each subcommand takes."""
 
 import contextlib
 import io
@@ -7,12 +8,16 @@ import os
 import re
 import shlex
 
+import pytest
+
 from qsuperalg import cli
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
 COMMAND = re.compile(r"^qsuperalg (.*)$", re.M)
 RENDER = re.compile(r"^print\(\w+\.e\[2\]\.render\(\)\)\s+# (.*)$", re.M)
+# a row of the flag table: | `subcommand` | `--flag --flag ...` |
+FLAG_ROW = re.compile(r"^\| `([a-z0-9-]+)` +\| `([^`]*)`", re.M)
 
 
 def test_readme_python_blocks_run():
@@ -41,3 +46,23 @@ def test_readme_commands_exit_with_zero():
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
+
+
+def test_readme_flag_table_matches_the_parser():
+    with open(README, encoding="utf-8") as fh:
+        rows = FLAG_ROW.findall(fh.read())
+    assert sorted(cmd for cmd, _ in rows) == [
+        "example-sl21", "generators", "identities", "verify"]
+    parser = cli.build_parser()
+    for cmd, listed in rows:
+        listed = [flag[2:] for flag in listed.split()]
+        assert set(listed) <= set(cli._FLAGS), cmd
+        for flag, spec in cli._FLAGS.items():
+            value = spec.get("choices", ("1",))[0]
+            argv = [cmd, "--" + flag, value]
+            if flag in listed:
+                assert str(getattr(parser.parse_args(argv), flag)) == value
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, argv

@@ -120,9 +120,9 @@ def test_marker_index_zero_is_rejected():
 
 
 def test_linform_keeps_sorted_nonzero_marker_pairs():
-    assert LinForm(lam={2: 1, 1: 0}).lam == ((2, 1),)
+    assert LinForm(lam=((2, 1), (1, 0))).lam == ((2, 1),)
     assert LinForm(lam=((2, 1), (1, 3), (2, -1))).lam == ((1, 3),)
-    assert (LinForm(lam={1: 1}) - LinForm(lam={1: 1})).is_zero()
+    assert (LinForm(lam=((1, 1),)) - LinForm(lam=((1, 1),))).is_zero()
 
 
 # ---------------------------------------------------------------------------

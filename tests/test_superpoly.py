@@ -1,6 +1,6 @@
 """Tests for the super-polynomial coordinate chart: parities, the packed
-monomial, the coordinate step with its Grassmann signs, and the sparse
-polynomial helpers."""
+monomial, the coordinate step with its Grassmann signs, polynomial
+rendering, and the residual polynomial a failing comparison returns."""
 
 import itertools
 
@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsuperalg.scalars import ONE, MINUS_ONE, qpow
-from qsuperalg.operators import basis_monomials
+from qsuperalg.operators import OpExpr, basis_monomials, first_failure
 from qsuperalg.superpoly import (CoordSystem, coord_parity, MONO_ONE,
                                  FIELD_TOP, mono_pack, mono_pairs,
-                                 shift_coord, mono_render,
-                                 poly_sub, poly_add_term, poly_render)
+                                 shift_coord, mono_render, poly_render)
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +226,26 @@ def test_mono_render():
 # polynomials
 # ---------------------------------------------------------------------------
 
+def _x(cs, pos):
+    return OpExpr.term(cs, (("x", pos),))
+
+
 def test_poly_addition_and_cancellation():
-    p = {MONO_ONE: ONE}
-    q = {MONO_ONE: MINUS_ONE}
-    s = dict(p)
-    for mono, c in q.items():
-        poly_add_term(s, mono, c)
-    assert s == {}
-    assert poly_sub(p, {MONO_ONE: ONE}) == {}
-    assert poly_sub(p, {}) == p
+    # the residual first_failure returns is lhs - rhs: a monomial both
+    # sides reach with one coefficient cancels, and one side's alone stays
+    cs = CoordSystem(1, 0)
+    z, th = _x(cs, 0), _x(cs, 1)
+    assert first_failure([(z + th, z)], 0) == \
+        (0, MONO_ONE, {mono_pack(((1, 1),)): ONE})
+    assert first_failure([(z, z.scale(MINUS_ONE))], 0) == \
+        (0, MONO_ONE, {mono_pack(((0, 1),)): ONE + ONE})
 
 
-def test_poly_add_term_drops_zeros():
-    p = {}
-    poly_add_term(p, mono_pack(((0, 1),)), ONE)
-    poly_add_term(p, mono_pack(((0, 1),)), MINUS_ONE)
-    assert p == {}
+def test_residual_drops_a_cancelled_monomial():
+    cs = CoordSystem(1, 0)
+    z, th = _x(cs, 0), _x(cs, 1)
+    found = first_failure([(z + th.scale(qpow(1)), z + th)], 0)
+    assert found[2] == {mono_pack(((1, 1),)): qpow(1) - ONE}
 
 
 def test_poly_render():

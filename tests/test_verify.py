@@ -7,7 +7,7 @@ import pytest
 from qsuperalg import verify
 from qsuperalg.scalars import RingElem, qpow
 from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
-from qsuperalg.operators import OpExpr, graded_commutator, op_eq_on_basis
+from qsuperalg.operators import OpExpr, graded_commutator, first_failure
 from qsuperalg.grammar import parse_opexpr
 from qsuperalg.algebra import (GeneratorSet, build_root_data, build_quantum,
                                build_classical)
@@ -60,22 +60,19 @@ def test_sl11_degenerate_rank():
 
 
 def test_integer_weight_runs():
-    report = run_full(1, 0, mode="integer", degree=3, weights=[2, -1])
-    assert report.ok
-    report = run_full(1, 1, mode="integer", degree=2, weights=[0, 1, -2],
+    report = run_full(1, 0, degree=3, weights=[2, -1])
+    assert report.ok and report.mode == "integer"
+    report = run_full(1, 1, degree=2, weights=[0, 1, -2],
                       variant="classical")
-    assert report.ok
+    assert report.ok and report.mode == "integer"
+    assert run_full(1, 0, degree=1).mode == "symbolic"
 
 
 def test_run_full_argument_validation():
-    with pytest.raises(ValueError):
-        run_full(1, 0, mode="integer")                # weights missing
-    with pytest.raises(ValueError):
-        run_full(1, 0, mode="integer", weights=[1])   # wrong length
-    with pytest.raises(ValueError, match="mode integer"):
-        run_full(1, 0, mode="symbolic", weights=[2, -1])
-    with pytest.raises(ValueError):
-        run_full(1, 0, mode="numeric")
+    with pytest.raises(ValueError, match="weights must be None or 2 ints"):
+        run_full(1, 0, weights=[1])                   # wrong length
+    with pytest.raises(TypeError):
+        run_full(1, 0, mode="integer", weights=[2, -1])
     with pytest.raises(ValueError):
         run_full(1, 0, degree=-1)
 
@@ -118,9 +115,9 @@ def test_mutated_generator_fails_with_witness():
 def _one_instance_after_another(instances, degree):
     """The witness of a suite whose instances are checked one by one."""
     for label, lhs, rhs in instances:
-        ok, wit = op_eq_on_basis(lhs, rhs, degree)
-        if not ok:
-            mono, residual = wit
+        found = first_failure([(lhs, rhs)], degree)
+        if found is not None:
+            mono, residual = found[1:]
             return "%s at monomial %s: residual %s" % (
                 label, mono_render(lhs.cs, mono),
                 poly_render(lhs.cs, residual))
@@ -281,7 +278,7 @@ def test_classical_weight_statement_is_the_bracket_operator(monkeypatch, MN):
         assert [label for label, _, _ in stated[tag]] \
             == [label for label, _, _ in want]
         for (label, lhs, rhs), (_, blhs, brhs) in zip(stated[tag], want):
-            assert op_eq_on_basis(lhs - rhs, blhs - brhs, 3) == (True, None), \
+            assert first_failure([(lhs - rhs, blhs - brhs)], 3) is None, \
                 (tag, label)
 
 
