@@ -3,9 +3,9 @@
 Builds the Chevalley generators as difference/differential operators on
 the coordinate chart, in three flavours:
 
-  * ``classical``: the q -> 1 form of ``prop2``: h_i, e_i, f_i with
-    ordinary derivatives and plain linear-form multiplications (no q
-    anywhere);
+  * ``classical``: e_i and f_i are ``prop2``'s terms at q = 1, through
+    the q -> 1 column of ``operators.ELEMENTARY``; h_i multiplies by the
+    exponent form of t_i;
   * ``prop2``: the quantum generators with exponents written through the
     full triple sums over the Cartan matrix;
   * ``prop3``: the quantum generators with the exponents reduced to
@@ -25,7 +25,7 @@ import itertools
 
 from .scalars import ONE, MINUS_ONE, qpow
 from .superpoly import CoordSystem
-from .operators import LinForm, OpExpr, graded_commutator
+from .operators import ELEMENTARY, LinForm, OpExpr, graded_commutator
 
 
 class RootData:
@@ -189,53 +189,45 @@ def _i47(data, cs, i, j):
             LinForm(None, nu[i] + nu[i + 1]))
 
 
-def _e_terms(data, cs, i, diff):
-    """Shared shape of e_i: leading D plus the staircase terms.
-
-    The classical form carries no q-power prefixes.
-    """
+def _e_terms(data, cs, i):
+    """e_i: D(i,i), then x(l,i-1) D(l,i) for l < i, each behind a q-power."""
     terms = []
-    ops = (("d" if diff else "D", cs.pos[(i, i)]),)
-    lead = _staircase(data, cs, i, i - 1)
-    if not diff and not lead.is_zero():
-        ops = (("qpow", lead),) + ops
-    terms.append((ONE, ops))
-    for l in range(1, i):
-        ops = (("x", cs.pos[(l, i - 1)]), ("d" if diff else "D", cs.pos[(l, i)]))
+    for l in (i, *range(1, i)):
+        ops = (("D", cs.pos[(l, i)]),)
+        if l < i:
+            ops = (("x", cs.pos[(l, i - 1)]),) + ops
         pre = _staircase(data, cs, i, l - 1)
-        if not diff and not pre.is_zero():
+        if not pre.is_zero():
             ops = (("qpow", pre),) + ops
         terms.append((ONE, ops))
     return terms
 
 
-def _f_terms(data, cs, i, variant, weights):
-    """f_i in any variant; the classical form is prop2 at q = 1."""
+def _f_terms(data, cs, i, side, weights):
+    """f_i, its exponents read from side ``side`` of I43-I47."""
     nu = data.nu
-    diff = variant == "classical"
-    side = variant == "prop3"
     w = _weight_form(i, weights)
     row = _i44(data, cs, i, i + 1)[side]
-    deriv = "d" if diff else "D"
     terms = []
     for j in range(1, i):
-        ops = (("x", cs.pos[(j, i)]), (deriv, cs.pos[(j, i - 1)]))
-        if not diff:
-            rho = w - row - _i45(data, cs, i, j)[side] \
-                + _sum(_m(cs, l, i - 1, nu[i]) for l in range(j + 1, i))
-            ops = (("qpow", rho),) + ops
-        terms.append((ONE if nu[i] > 0 else MINUS_ONE, ops))
+        rho = w - row - _i45(data, cs, i, j)[side] \
+            + _sum(_m(cs, l, i - 1, nu[i]) for l in range(j + 1, i))
+        terms.append((ONE if nu[i] > 0 else MINUS_ONE, (
+            ("qpow", rho), ("x", cs.pos[(j, i)]), ("D", cs.pos[(j, i - 1)]))))
     for j in range(i + 1, data.K + 1):
-        ops = (("x", cs.pos[(i, j)]), (deriv, cs.pos[(i + 1, j)]))
-        if not diff:
-            eta = w - _i44(data, cs, i, j + 1)[side] \
-                - _i46(data, cs, i, j)[side] + _i47(data, cs, i, j)[side]
-            ops = (("qpow", -eta),) + ops
-        terms.append((MINUS_ONE if nu[i + 1] > 0 else ONE, ops))
+        eta = w - _i44(data, cs, i, j + 1)[side] \
+            - _i46(data, cs, i, j)[side] + _i47(data, cs, i, j)[side]
+        terms.append((MINUS_ONE if nu[i + 1] > 0 else ONE, (
+            ("qpow", -eta), ("x", cs.pos[(i, j)]), ("D", cs.pos[(i + 1, j)]))))
     tail = w - row + _m(cs, i, i, -(nu[i] + nu[i + 1]) // 2)
-    terms.append((ONE, (("x", cs.pos[(i, i)]),
-                        ("lin" if diff else "qnum", tail))))
+    terms.append((ONE, (("x", cs.pos[(i, i)]), ("qnum", tail))))
     return terms
+
+
+def _at_q1(terms):
+    """Terms at q = 1: kinds renamed by ``ELEMENTARY``, q-powers dropped."""
+    return [(c, tuple((ELEMENTARY[kind].q1, arg) for kind, arg in ops
+                      if ELEMENTARY[kind].q1)) for c, ops in terms]
 
 
 def build_generators(data, weights=None, variant="prop3"):
@@ -247,14 +239,15 @@ def build_generators(data, weights=None, variant="prop3"):
         raise ValueError("weights must be None or %d ints, got %r"
                          % (data.K, weights))
     cs = CoordSystem(data.M, data.N)
-    diff = variant == "classical"
+    side = variant == "prop3"
+    # classically prop2 at q = 1, but for h_i, which is no image of t_i
+    q1, t_kind = (_at_q1, "lin") if variant == "classical" else (list, "qpow")
     t, e, f, t_form = {}, {}, {}, {}
     for i in range(1, data.K + 1):
-        t_form[i] = _weight_form(i, weights) \
-            - _i43(data, cs, i)[variant == "prop3"]
-        t[i] = OpExpr.term(cs, (("lin" if diff else "qpow", t_form[i]),))
-        e[i] = OpExpr(cs, _e_terms(data, cs, i, diff))
-        f[i] = OpExpr(cs, _f_terms(data, cs, i, variant, weights))
+        t_form[i] = _weight_form(i, weights) - _i43(data, cs, i)[side]
+        t[i] = OpExpr.term(cs, ((t_kind, t_form[i]),))
+        e[i] = OpExpr(cs, q1(_e_terms(data, cs, i)))
+        f[i] = OpExpr(cs, q1(_f_terms(data, cs, i, side, weights)))
     return GeneratorSet(data, cs, variant, weights, t, e, f, t_form)
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import re
 import sys
 
 from . import superpoly as sp
-from .operators import OpExpr, graded_commutator
+from .operators import ELEMENTARY, OpExpr, graded_commutator
 from .algebra import (build_root_data, build_quantum, build_generators,
                       check_linform_identities)
 from .verify import run_full
@@ -27,10 +28,10 @@ def _parse_weights(cfg, parser):
     """The --weights list as ints, or None: symbolic weights."""
     if cfg.weights is None:
         return None
-    try:
-        weights = [int(w) for w in cfg.weights.split(",")]
-    except ValueError:
+    # a sign and ASCII digits only: int() also reads "1_0" and non-ASCII digits
+    if not re.fullmatch(r"[+-]?[0-9]+(,[+-]?[0-9]+)*", cfg.weights):
         parser.error("--weights must be a comma-separated integer list")
+    weights = [int(w) for w in cfg.weights.split(",")]
     if len(weights) != cfg.M + cfg.N + 1:
         parser.error("expected %d weights" % (cfg.M + cfg.N + 1))
     return weights
@@ -49,13 +50,12 @@ def _open_output(cfg, parser):
 
 def _term_dict(cs, coeff, ops):
     out = {"coeff": coeff.render(), "ops": []}
-    for op in ops:
-        kind = op[0]
-        if kind in ("x", "D", "d"):
-            l, m = cs.coords[op[1]]
+    for kind, arg in ops:
+        if ELEMENTARY[kind].step:
+            l, m = cs.coords[arg]
             out["ops"].append({"kind": kind, "l": l, "m": m})
         else:
-            out["ops"].append({"kind": kind, "lin": op[1].render(cs)})
+            out["ops"].append({"kind": kind, "lin": arg.render(cs)})
     return out
 
 

@@ -3,15 +3,10 @@ action on super-polynomials.
 
 ``OpExpr`` is the only operator type.  It is a finite sum of terms; each
 term is a scalar coefficient together with an ordered tuple of factors,
-applied right-to-left.  A factor is a nested ``OpExpr`` or one of the
-elementary operators:
-
-  ('x', pos)      multiplication by the coordinate at pos (Koszul sign)
-  ('D', pos)      q-difference on an even coordinate / Grassmann derivative
-  ('d', pos)      classical derivative (x^n -> n x^(n-1); same on thetas)
-  ('qpow', lf)    multiplication by q^{lf} evaluated on the exponent vector
-  ('qnum', lf)    multiplication by the q-number [lf]
-  ('lin', lf)     classical multiplication by the value of the linear form
+applied right-to-left.  A factor is a nested ``OpExpr`` or an elementary
+operator (kind, arg): x, D or d at a coordinate position, or qpow, qnum or
+lin of a ``LinForm``.  ``ELEMENTARY`` is the one description of the kinds,
+which evaluation, parity, printing and the classical generators read.
 
 No normal ordering is ever performed: expressions stay in the order they
 were written, and equality of operators is extensional (action on a
@@ -36,9 +31,9 @@ computed once when it is built: the fields of every coordinate it steps
 factors' included.  The image of r = m & mask is kept under (node, r),
 and the image of m is rebuilt from it with u = m - r: each term (m2, c)
 of it becomes (m2 + u, +-c), and the sign is -1 exactly when
-P(u) & (m2 ^ r) has an odd bit count, P(u) (``_passed_odd``) having the
-low bit of each odd field p set when an odd number of u's odd coordinates
-lie before p.  This is exact:
+P(u) & (m2 ^ r) has an odd bit count, P(u) being the translate's Koszul
+sign ``superpoly.passed_odd``: the low bit of each odd field p before which
+u has an odd number of odd coordinates.  This is exact:
 
   * a range check, a derivative's factor and a form's value read only
     support fields, which u leaves alone, so the same paths survive with
@@ -96,8 +91,24 @@ a unit coefficient costs no arithmetic, and a memoised image scaled by
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .scalars import ONE, MINUS_ONE, qpow, qnum, lin, sum_of_products
 from . import superpoly as sp
+
+
+# Per kind: the exponent step (+-1 at a coordinate, 0 for a form), the
+# scalar multiplied in (a derivative's factor on the old exponent n, or the
+# form's value), the printed form, and the kind at q = 1 (a q-power is 1)
+Elementary = namedtuple("Elementary", "step factor form q1")
+ELEMENTARY = {
+    "x": Elementary(1, None, "x(%d,%d)", "x"),  # times x, with Koszul sign
+    "D": Elementary(-1, qnum, "D(%d,%d)", "d"),  # q-difference / Grassmann d
+    "d": Elementary(-1, lin, "d(%d,%d)", "d"),  # classical x^n -> n x^(n-1)
+    "qpow": Elementary(0, qpow, "q^{%s}", None),  # times q^{form}
+    "qnum": Elementary(0, qnum, "[%s]", "lin"),  # times the q-number [form]
+    "lin": Elementary(0, lin, "{%s}", "lin"),  # times the form's value
+}
 
 
 class ContextMismatch(Exception):
@@ -270,7 +281,7 @@ class OpExpr:
             for op in ops:
                 if isinstance(op, OpExpr):
                     p += op.parity()
-                elif op[0] in ("x", "D", "d") and self.cs.odd[op[1]]:
+                elif ELEMENTARY[op[0]].step and self.cs.odd[op[1]]:
                     p += 1
             p &= 1
             if par is None:
@@ -321,7 +332,7 @@ class OpExpr:
                         # the image of m is that of r moved by u, with
                         # the Koszul signs u adds (see the module docstring)
                         u = m - r
-                        flip = (_passed_odd(cs, u) & odd
+                        flip = (sp.passed_odd(cs, u) & odd
                                 if odd and u & cs.odd_low else 0)
                         # an image scaled by +-1 needs no product
                         neg = c == MINUS_ONE
@@ -352,16 +363,9 @@ class OpExpr:
                 if isinstance(op, OpExpr):
                     factors.append("(" + op.render() + ")")
                     continue
-                kind = op[0]
-                if kind in ("x", "D", "d"):
-                    l, m = cs.coords[op[1]]
-                    factors.append("%s(%d,%d)" % (kind, l, m))
-                elif kind == "qpow":
-                    factors.append("q^{%s}" % op[1].render(cs))
-                elif kind == "qnum":
-                    factors.append("[%s]" % op[1].render(cs))
-                else:
-                    factors.append("{%s}" % op[1].render(cs))
+                row = ELEMENTARY[op[0]]
+                factors.append(row.form % (cs.coords[op[1]] if row.step
+                                           else op[1].render(cs)))
             body = " ".join(factors)
             if not factors:
                 parts.append(c.render())
@@ -387,24 +391,12 @@ def _support(terms):
         for op in ops:
             if isinstance(op, OpExpr):
                 mask |= op._mask
-            elif op[0] in _SHIFT:
+            elif ELEMENTARY[op[0]].step:
                 mask |= sp.FIELD_TOP << sp.FIELD_BITS * op[1]
             else:
                 for shift, _ in op[1]._fields:
                     mask |= sp.FIELD_TOP << shift
     return mask
-
-
-def _passed_odd(cs, u):
-    """The low bit of each odd field p whose position has an odd number
-    of u's odd coordinates before it: the Koszul sign that u adds to a
-    step at p.  A prefix XOR over the fields, doubling its reach."""
-    y = (u & cs.odd_low) << sp.FIELD_BITS
-    reach, top = sp.FIELD_BITS, sp.FIELD_BITS * cs.ncoords
-    while reach < top:
-        y ^= y << reach
-        reach <<= 1
-    return y & cs.odd_low
 
 
 def _summed(contribs):
@@ -449,18 +441,10 @@ def _steps(ops):
             continue
         if not (steps and type(steps[-1]) is list):
             steps.append([])
-        steps[-1].append((_SHIFT.get(op[0], 0), op[1], _FACTOR.get(op[0])))
+        row = ELEMENTARY[op[0]]
+        steps[-1].append((row.step, op[1], row.factor))
     return tuple(s if isinstance(s, OpExpr) else tuple(s)
                  for s in steps) or ((),)
-
-
-# the exponent step of each coordinate operator; a linear-form operator
-# steps by 0
-_SHIFT = {"x": 1, "D": -1, "d": -1}
-
-# the scalar each elementary operator multiplies in: a derivative's factor
-# on the old exponent n, or the value of a factor's linear form
-_FACTOR = {"D": qnum, "d": lin, "qpow": qpow, "qnum": qnum, "lin": lin}
 
 
 def _run(cs, ops, m, c):

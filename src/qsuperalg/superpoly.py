@@ -25,6 +25,10 @@ multiplies in) under two rules:
 
 The Grassmann derivative is the same step as the q-difference with
 [1] = 1, so no other function reads a coordinate's parity to act on it.
+
+The Koszul order lives here, in two signs: a step's at p, ``sign_mask[p]``
+read against the monomial, and a translate's, ``passed_odd(cs, u)``, the
+sign that adding u's coordinates to a monomial adds to each later step.
 """
 
 from __future__ import annotations
@@ -122,6 +126,17 @@ def shift_coord(cs, pos, mono, d):
                             % ((e,) + cs.coords[pos] + (FIELD_TOP,)))
     return (-1 if (mono & cs.sign_mask[pos]).bit_count() & 1 else 1, n,
             mono + (d << shift))
+
+
+def passed_odd(cs, u):
+    """The translate's Koszul sign: the low bit of each odd field p with an
+    odd number of u's odd coordinates before it, by a doubling prefix XOR."""
+    y = (u & cs.odd_low) << FIELD_BITS
+    reach, top = FIELD_BITS, FIELD_BITS * cs.ncoords
+    while reach < top:
+        y ^= y << reach
+        reach <<= 1
+    return y & cs.odd_low
 
 
 def mono_render(cs, mono):

@@ -53,6 +53,20 @@ def test_generators_json_is_valid():
     assert set(payload["generators"]) == {"t1", "t2", "e1", "e2", "f1", "f2"}
     assert payload["generators"]["e1"] == [
         {"coeff": "1", "ops": [{"kind": "D", "l": 1, "m": 1}]}]
+    # classically D -> d and [form] -> {form}, and h_i is one {form}
+    out = run_cli("generators", "--M", "1", "--N", "0", "--variant",
+                  "classical", "--format", "json")
+    assert out.returncode == 0
+    gens = json.loads(out.stdout)["generators"]
+    assert set(gens) == {"h1", "h2", "e1", "e2", "f1", "f2"}
+    assert gens["f1"] == [
+        {"coeff": "-1", "ops": [{"kind": "x", "l": 1, "m": 2},
+                                {"kind": "d", "l": 2, "m": 2}]},
+        {"coeff": "1", "ops": [{"kind": "x", "l": 1, "m": 1},
+                               {"kind": "lin",
+                                "lin": "-M(1,1)-M(1,2)+M(2,2)+L(1)"}]}]
+    assert gens["h1"] == [{"coeff": "1", "ops": [
+        {"kind": "lin", "lin": "-2M(1,1)-M(1,2)+M(2,2)+L(1)"}]}]
 
 
 def test_verify_text_passes():
@@ -85,7 +99,7 @@ def test_verify_integer_mode():
         "relation suites for (M,N)=(1,0) variant=prop3 mode=integer ")
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(tmp_path):
     assert run_cli().returncode == 2
     assert run_cli("bogus").returncode == 2
     assert run_cli("verify", "--variant", "bogus").returncode == 2
@@ -95,6 +109,13 @@ def test_usage_errors_exit_2():
     assert run_cli("verify", "--mode", "integer",
                    "--weights", "2,-1").returncode == 2
     assert run_cli("verify", "--M", "-1").returncode == 2
+    # int() would read "1_0" as 10 and the Arabic-Indic three as 3
+    target = tmp_path / "report.txt"
+    for weights in ("1_0,2", "\u0663,1"):
+        out = run_cli("verify", "--weights", weights, "--output", str(target))
+        assert out.returncode == 2, weights
+        assert "integer list" in out.stderr
+        assert not target.exists()
 
 
 def test_flags_a_command_does_not_read_exit_2():

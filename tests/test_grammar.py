@@ -79,6 +79,8 @@ def test_generator_render_parse_round_trip(MN, variant):
         for op in fam.values():
             back = parse_opexpr(op.render(), gens.cs)
             assert first_failure([(op, back)], 2) is None
+            # every kind prints as ELEMENTARY says and parses back to itself
+            assert back.terms == op.terms
 
 
 def test_parsed_integral_coefficients_are_int():

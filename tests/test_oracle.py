@@ -13,8 +13,8 @@ from the left. D(l,m) and d(l,m) on an odd coordinate differentiate from
 the left. So an odd coordinate is brought to the front of the monomial or
 taken from it, past every odd coordinate before it in the monomial, each
 giving a factor -1; even coordinates commute with everything. Reversing
-this convention in both ``superpoly``'s ``sign_mask`` and
-``operators._passed_odd`` still passes the relation suites, so only an
+this convention in both ``superpoly``'s ``sign_mask`` and its
+``passed_odd`` still passes the relation suites, so only an
 evaluator that owns the convention can catch that; this test fails on it
 at every rank it runs.
 
