@@ -6,13 +6,13 @@ Commands:
   example-sl21  step-by-step transcript of the [e2,f2] check in U_q(sl(2|1))
   identities    check the Cartan-substitution linear-form identities
 
-Exit codes: 0 all checks pass, 1 a suite failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a suite failed, 2 usage error; an exit-2
+run leaves an existing --output file as it was.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import re
 import sys
@@ -37,12 +37,12 @@ def _parse_weights(cfg, parser):
     return weights
 
 
-def _open_output(cfg, parser):
-    """The --output file opened for writing, or standard output."""
+def _open_output(cfg, parser, mode):
+    """--output opened in ``mode`` ("a" only checks it), or standard output."""
     if not cfg.output:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(cfg.output, "w", encoding="utf-8")
+        return open(cfg.output, mode, encoding="utf-8")
     except OSError as err:
         parser.exit(2, "%s: error: cannot write --output %s: %s\n"
                     % (parser.prog, cfg.output, err.strerror))
@@ -197,12 +197,16 @@ def main(argv=None):
         "identities": cmd_identities,
         "example-sl21": cmd_example_sl21,
     }
+    buf = io.StringIO()
     try:
-        with _open_output(cfg, parser) as out:
-            return handlers[cfg.command](cfg, out)
+        with _open_output(cfg, parser, "a"):
+            code = handlers[cfg.command](cfg, buf)
     except OverflowError as err:
         # an exponent past a packed field: a scalar's or a monomial's
         parser.exit(2, "%s: error: %s\n" % (parser.prog, err))
+    with _open_output(cfg, parser, "w") as out:
+        out.write(buf.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ annihilates every basis monomial of total degree up to the bound.  On
 failure the first failing monomial (in the canonical graded order) and
 the full residual polynomial are recorded as a witness.
 
+A suite's outcome is one record: a dict with the keys ``id``,
+``instances``, ``status``, ``witness`` and ``millis``, in that order, as
+``--format json`` writes it.  ``status`` is "fail" if an instance fails,
+with the first failing monomial as ``witness``; else ``witness`` is None
+and ``status`` is "vacuous" for no instances, "pass" otherwise.
+``millis`` is the suite's wall time.
+
 A suite's instances are checked one after another
 (``operators.first_failure``), each on the basis monomials inside its
 support; elsewhere its verdict is that of a monomial it was probed on
@@ -25,11 +32,8 @@ t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
 basis, which is exactly {1}.
 """
 
-from __future__ import annotations
-
 import json
 import time
-from dataclasses import dataclass, field
 
 from .scalars import RingElem, qpow, qnum
 from . import superpoly as sp
@@ -37,59 +41,40 @@ from .operators import LinForm, OpExpr, graded_commutator, first_failure
 from .algebra import build_root_data, build_generators
 
 
-@dataclass
-class SuiteResult:
-    id: str
-    instances: int
-    status: str                 # "pass" | "fail" | "vacuous"
-    witness: str | None = None
-    millis: int = 0
-
-    def to_dict(self, timings=True):
-        d = {"id": self.id, "instances": self.instances,
-             "status": self.status, "witness": self.witness}
-        if timings:
-            d["millis"] = self.millis
-        return d
-
-
-@dataclass
 class VerificationReport:
-    M: int
-    N: int
-    mode: str
-    variant: str
-    degree: int
-    nmax: int
-    suites: list = field(default_factory=list)
+    """The suites' records of one run, in the order they ran."""
+
+    def __init__(self, M, N, mode, variant, degree, nmax):
+        self.M, self.N, self.mode, self.variant = M, N, mode, variant
+        self.degree, self.nmax = degree, nmax
+        self.suites = []
 
     @property
     def ok(self):
-        return all(s.status != "fail" for s in self.suites)
+        return all(s["status"] != "fail" for s in self.suites)
 
-    def to_dict(self, timings=True):
+    def to_dict(self):
         return {
             "algebra": {"M": self.M, "N": self.N},
             "mode": self.mode,
             "variant": self.variant,
             "degree": self.degree,
             "nmax": self.nmax,
-            "suites": [s.to_dict(timings) for s in self.suites],
+            "suites": [dict(s) for s in self.suites],
             "pass": self.ok,
         }
 
-    def to_json(self, timings=True):
-        return json.dumps(self.to_dict(timings), indent=2) + "\n"
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def to_text(self):
         lines = ["relation suites for (M,N)=(%d,%d) variant=%s mode=%s degree=%d"
                  % (self.M, self.N, self.variant, self.mode, self.degree)]
         for s in self.suites:
-            line = "  %-12s %-8s instances=%-4d %dms" % (
-                s.id, s.status.upper(), s.instances, s.millis)
-            lines.append(line)
-            if s.witness:
-                lines.append("    witness: " + s.witness)
+            lines.append("  %-12s %-8s instances=%-4d %dms" % (
+                s["id"], s["status"].upper(), s["instances"], s["millis"]))
+            if s["witness"]:
+                lines.append("    witness: " + s["witness"])
         lines.append("overall: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines) + "\n"
 
@@ -165,7 +150,7 @@ def _run(tag, degree, instances):
 
     Every instance is counted, and the instances are checked in order.
     The witness is the first failing monomial of the first failing
-    instance.
+    instance.  Returns the suite's record (see the module docstring).
     """
     t0 = time.monotonic()
     instances = list(instances)
@@ -178,8 +163,8 @@ def _run(tag, degree, instances):
         witness = "%s at monomial %s: residual %s" % (
             label, sp.mono_render(lhs.cs, mono),
             sp.poly_render(lhs.cs, residual))
-    millis = int((time.monotonic() - t0) * 1000)
-    return SuiteResult(tag, len(instances), status, witness, millis)
+    return {"id": tag, "instances": len(instances), "status": status,
+            "witness": witness, "millis": int((time.monotonic() - t0) * 1000)}
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_criterion_3_full_quantum_suites_five_ranks():
     for M, N in FIVE_RANKS:
         gens = build_quantum(build_root_data(M, N))
         for res in check_cartan_relations(gens, 3) + check_serre(gens, 3):
-            ok = ok and res.status != "fail"
+            ok = ok and res["status"] != "fail"
     _report("3 (defining + Serre suites, five ranks)", ok, t0, 300)
 
 
@@ -79,7 +79,7 @@ def test_criterion_5_classical_suites_and_q1_limit():
     for M, N in FIVE_RANKS:
         gens = build_classical(build_root_data(M, N))
         for res in check_cartan_relations(gens, 3) + check_serre(gens, 3):
-            ok = ok and res.status != "fail"
+            ok = ok and res["status"] != "fail"
     # entrywise q -> 1 limit against the classical build
     for M, N in FIVE_RANKS:
         data = build_root_data(M, N)
@@ -107,9 +107,9 @@ def test_criterion_6_auxiliary_root_vector_relations():
     for M, N in [(1, 0), (1, 1), (2, 1)]:
         data = build_root_data(M, N)
         for res in check_aux(build_quantum(data), 3, nmax=3):
-            ok = ok and res.status != "fail"
+            ok = ok and res["status"] != "fail"
         for res in check_aux(build_classical(data), 3, nmax=3):
-            ok = ok and res.status != "fail"
+            ok = ok and res["status"] != "fail"
     _report("6 (auxiliary root-vector relations)", ok, t0, 180)
 
 
@@ -130,7 +130,7 @@ def test_criterion_8_heisenberg_identities_rank_4():
         for N in range(0, 4 - M):
             cs = CoordSystem(M, N)
             for res in check_heisenberg(cs, 5):
-                ok = ok and res.status == "pass"
+                ok = ok and res["status"] == "pass"
     _report("8 (coordinate Heisenberg identities)", ok, t0, 30)
 
 
@@ -179,14 +179,14 @@ def test_criterion_9_mutation_sensitivity():
     clean = _gens_from_text(golden)
     baseline = check_cartan_relations(clean, 2) + check_serre(clean, 2) \
         + check_highest_weight(clean)
-    ok = all(r.status != "fail" for r in baseline)
+    ok = all(r["status"] != "fail" for r in baseline)
     for old, new in MUTATIONS:
         assert golden.count(old) == 1, "mutation token not unique: %r" % old
         gens = _gens_from_text(golden.replace(old, new))
         results = check_cartan_relations(gens, 2) + check_serre(gens, 2) \
             + check_highest_weight(gens)
-        failed = [r for r in results if r.status == "fail"]
-        ok = ok and failed and all(r.witness for r in failed)
+        failed = [r for r in results if r["status"] == "fail"]
+        ok = ok and failed and all(r["witness"] for r in failed)
     _report("9 (mutation sensitivity, %d mutations)" % len(MUTATIONS),
             bool(ok), t0, 60)
 
@@ -201,5 +201,5 @@ def test_criterion_10_highest_weight_behaviour():
                      build_classical(data),
                      build_quantum(data, weights=list(range(1, data.K + 1)))):
             for res in check_highest_weight(gens):
-                ok = ok and res.status == "pass"
+                ok = ok and res["status"] == "pass"
     _report("10 (highest-weight behaviour)", ok, t0, 1)

@@ -130,6 +130,9 @@ def test_output_flag_writes_file(tmp_path):
     assert out.returncode == 0
     payload = json.loads(target.read_text())
     assert payload["pass"] is True
+    # a pipe, which cannot be truncated, is written as standard output is
+    out = run_cli("generators", "--output", "/dev/stdout")
+    assert (out.returncode, out.stdout) == (0, run_cli("generators").stdout)
 
 
 def test_identities_command():
@@ -169,6 +172,33 @@ def test_wrong_weight_count_exits_2_before_output_is_opened(tmp_path):
         assert "expected " in out.stderr and "weights" in out.stderr
         assert out.stdout == ""
         assert target.read_text() == "kept\n"
+
+
+def test_overflow_leaves_an_existing_output_file_alone(tmp_path):
+    target = tmp_path / "out.txt"
+    kept = "kept\n" * 20          # longer than the listing written below
+    target.write_text(kept)
+    out = run_cli("verify", "--M", "1", "--N", "0", "--weights", "40000,1",
+                  "--degree", "2", "--output", str(target))
+    assert out.returncode == 2
+    assert "packed field" in out.stderr
+    assert target.read_text() == kept
+    # a run that finishes replaces the whole contents
+    out = run_cli("generators", "--M", "0", "--N", "0", "--output",
+                  str(target))
+    assert out.returncode == 0
+    assert target.read_text() == run_cli("generators", "--M", "0",
+                                         "--N", "0").stdout
+
+
+def test_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at every start
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; sys.path.insert(0, %r); import qsuperalg.cli; "
+            "print('dataclasses' in sys.modules)" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n")
 
 
 def test_scalar_exponent_overflow_exits_2():

@@ -14,6 +14,7 @@ from qsuperalg.algebra import (GeneratorSet, build_root_data, build_quantum,
 from qsuperalg.verify import (run_full, check_cartan_relations,
                               check_aux, check_weight_conjugation,
                               check_heisenberg, check_highest_weight)
+from test_golden_reports import timing_free
 
 
 QUANTUM_SUITES = {"Q20", "Q21", "Q22", "Q23", "QSerreA", "QSerreOdd",
@@ -27,36 +28,36 @@ CLASSICAL_SUITES = {"C1", "C2", "C3", "C4", "CSerreA", "CSerreOdd", "OddNil",
 def test_full_run_sl21_passes():
     report = run_full(1, 0, degree=3, nmax=2)
     assert report.ok
-    assert {s.id for s in report.suites} == QUANTUM_SUITES
+    assert {s["id"] for s in report.suites} == QUANTUM_SUITES
     for s in report.suites:
-        assert s.status in ("pass", "vacuous")
-        assert s.witness is None
+        assert s["status"] in ("pass", "vacuous")
+        assert s["witness"] is None
 
 
 def test_full_run_classical_passes():
     report = run_full(1, 0, degree=3, nmax=2, variant="classical")
     assert report.ok
-    assert {s.id for s in report.suites} == CLASSICAL_SUITES
+    assert {s["id"] for s in report.suites} == CLASSICAL_SUITES
 
 
 def test_odd_serre_vacuous_without_both_blocks():
     report = run_full(1, 0, degree=2)
-    by_id = {s.id: s for s in report.suites}
-    assert by_id["QSerreOdd"].status == "vacuous"
+    by_id = {s["id"]: s for s in report.suites}
+    assert by_id["QSerreOdd"]["status"] == "vacuous"
     report = run_full(1, 1, degree=2)
-    by_id = {s.id: s for s in report.suites}
-    assert by_id["QSerreOdd"].status == "pass"
-    assert by_id["QSerreOdd"].instances == 2
+    by_id = {s["id"]: s for s in report.suites}
+    assert by_id["QSerreOdd"]["status"] == "pass"
+    assert by_id["QSerreOdd"]["instances"] == 2
 
 
 def test_sl11_degenerate_rank():
     # M = N = 0: a single odd generator, no Serre pairs at all
     report = run_full(0, 0, degree=3)
     assert report.ok
-    by_id = {s.id: s for s in report.suites}
-    assert by_id["QSerreA"].status == "vacuous"
-    assert by_id["QSerreOdd"].status == "vacuous"
-    assert by_id["OddNil"].status == "pass"
+    by_id = {s["id"]: s for s in report.suites}
+    assert by_id["QSerreA"]["status"] == "vacuous"
+    assert by_id["QSerreOdd"]["status"] == "vacuous"
+    assert by_id["OddNil"]["status"] == "pass"
 
 
 def test_integer_weight_runs():
@@ -83,15 +84,28 @@ def test_report_json_shape():
     assert payload["algebra"] == {"M": 0, "N": 1}
     assert payload["pass"] is True
     assert payload["variant"] == "prop3"
+    # the records themselves, in the order the golden fixtures pin
+    assert payload["suites"] == report.suites
     for suite in payload["suites"]:
-        assert set(suite) == {"id", "instances", "status", "witness", "millis"}
+        assert list(suite) == ["id", "instances", "status", "witness",
+                               "millis"]
         assert suite["status"] in ("pass", "fail", "vacuous")
 
 
 def test_report_deterministic_modulo_timings():
-    a = run_full(1, 0, degree=2).to_dict(timings=False)
-    b = run_full(1, 0, degree=2).to_dict(timings=False)
+    a = timing_free(run_full(1, 0, degree=2))
+    b = timing_free(run_full(1, 0, degree=2))
     assert a == b
+
+
+def test_editing_to_dict_leaves_the_report_unchanged():
+    report = run_full(1, 0, degree=1)
+    before = report.to_json()
+    payload = report.to_dict()
+    payload["suites"][0]["status"] = "fail"
+    del payload["suites"][1]["millis"]
+    payload["suites"].clear()
+    assert report.to_json() == before
 
 
 def test_report_text_format():
@@ -107,9 +121,9 @@ def test_mutated_generator_fails_with_witness():
     # corrupt e1 by a stray q-power: Q23 must notice and say where
     gens.e[1] = gens.e[1].scale(qpow(1))
     results = check_cartan_relations(gens, 2)
-    failed = [r for r in results if r.status == "fail"]
+    failed = [r for r in results if r["status"] == "fail"]
     assert failed
-    assert all(r.witness and "residual" in r.witness for r in failed)
+    assert all(r["witness"] and "residual" in r["witness"] for r in failed)
 
 
 def _one_instance_after_another(instances, degree):
@@ -142,8 +156,8 @@ def test_the_first_failing_instance_is_the_witness():
     want = _one_instance_after_another(instances, 2)
     assert want.startswith("D^2 at monomial z(1,1)^2: residual ")
     result = verify._run("T", 2, iter(instances))
-    assert (result.status, result.instances) == ("fail", 3)
-    assert result.witness == want
+    assert (result["status"], result["instances"]) == ("fail", 3)
+    assert result["witness"] == want
 
 
 def test_instances_after_the_failing_one_are_not_applied(monkeypatch):
@@ -156,30 +170,30 @@ def test_instances_after_the_failing_one_are_not_applied(monkeypatch):
         return apply(self, mono)
     monkeypatch.setattr(OpExpr, "apply_monomial", recorded)
     result = verify._run("T", 2, instances)
-    assert result.witness.startswith("D^2 at monomial z(1,1)^2: ")
+    assert result["witness"].startswith("D^2 at monomial z(1,1)^2: ")
     _, lhs, rhs = instances[2]
     assert not any(op is lhs or op is rhs for op in applied)
 
 
 def test_suite_timings_are_recorded():
     report = run_full(1, 0, degree=2)
-    assert all(s.millis >= 0 for s in report.suites)
+    assert all(s["millis"] >= 0 for s in report.suites)
 
 
 def test_weight_conjugation_and_heisenberg_standalone():
     gens = build_quantum(build_root_data(0, 1))
-    assert all(r.status == "pass"
+    assert all(r["status"] == "pass"
                for r in check_weight_conjugation(gens, 3))
-    assert all(r.status == "pass"
+    assert all(r["status"] == "pass"
                for r in check_heisenberg(gens.cs, 4))
-    assert all(r.status == "pass" for r in check_highest_weight(gens))
+    assert all(r["status"] == "pass" for r in check_highest_weight(gens))
 
 
 def test_highest_weight_witness_uses_the_common_format():
     def witness(gens):
         (result,) = check_highest_weight(gens)
-        assert (result.status, result.instances) == ("fail", 6)
-        return result.witness
+        assert (result["status"], result["instances"]) == ("fail", 6)
+        return result["witness"]
 
     data = build_root_data(1, 1)
     # the listing's t1 with the sign of its L(1) term flipped
@@ -199,8 +213,9 @@ def test_highest_weight_witness_uses_the_common_format():
 def test_aux_suites_standalone_classical():
     gens = build_classical(build_root_data(1, 1))
     results = check_aux(gens, 2, nmax=2)
-    assert {r.id for r in results} == {"AuxC16", "AuxC17", "AuxC18", "AuxC19"}
-    assert all(r.status == "pass" for r in results)
+    assert {r["id"] for r in results} == {"AuxC16", "AuxC17", "AuxC18",
+                                          "AuxC19"}
+    assert all(r["status"] == "pass" for r in results)
 
 
 def test_suites_reject_negative_degree():
@@ -324,7 +339,7 @@ def test_corrupted_classical_sets_keep_the_bracket_verdicts(monkeypatch):
                 want = _one_instance_after_another(instances, degree)
                 status = "fail" if want else "pass"
                 got = results[tag]
-                assert (got.status, got.witness) == (status, want), \
+                assert (got["status"], got["witness"]) == (status, want), \
                     (MN, name, tag)
                 if want:
                     failing.add((MN, name, tag))
