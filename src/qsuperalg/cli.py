@@ -7,13 +7,15 @@ Commands:
   identities    check the Cartan-substitution linear-form identities
 
 Exit codes: 0 all checks pass, 1 a suite failed, 2 usage error; an exit-2
-run leaves an existing --output file as it was.
+run leaves an existing --output file as it was and creates no new one.
 """
 
 import argparse
 import contextlib
+import errno
 import io
 import json
+import os
 import re
 import sys
 
@@ -37,15 +39,39 @@ def _parse_weights(cfg, parser):
     return weights
 
 
-def _open_output(cfg, parser, mode):
-    """--output opened in ``mode`` ("a" only checks it), or standard output."""
+def _cannot_write(parser, path, reason):
+    parser.exit(2, "%s: error: cannot write --output %s: %s\n"
+                % (parser.prog, path, reason))
+
+
+def _check_output(cfg, parser):
+    """Exit 2 unless --output can be written: an existing file that is
+    writable, or a new name in a writable directory.  Nothing is created,
+    so a run that exits 2 leaves no new file behind."""
+    path = cfg.output
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        _cannot_write(parser, path, os.strerror(code))
+
+
+def _open_output(cfg, parser):
+    """--output opened for writing, or standard output."""
     if not cfg.output:
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(cfg.output, mode, encoding="utf-8")
+        return open(cfg.output, "w", encoding="utf-8")
     except OSError as err:
-        parser.exit(2, "%s: error: cannot write --output %s: %s\n"
-                    % (parser.prog, cfg.output, err.strerror))
+        _cannot_write(parser, cfg.output, err.strerror)
 
 
 def _term_dict(cs, coeff, ops):
@@ -197,14 +223,14 @@ def main(argv=None):
         "identities": cmd_identities,
         "example-sl21": cmd_example_sl21,
     }
+    _check_output(cfg, parser)
     buf = io.StringIO()
     try:
-        with _open_output(cfg, parser, "a"):
-            code = handlers[cfg.command](cfg, buf)
+        code = handlers[cfg.command](cfg, buf)
     except OverflowError as err:
         # an exponent past a packed field: a scalar's or a monomial's
         parser.exit(2, "%s: error: %s\n" % (parser.prog, err))
-    with _open_output(cfg, parser, "w") as out:
+    with _open_output(cfg, parser) as out:
         out.write(buf.getvalue())
     return code
 

@@ -10,7 +10,8 @@ which evaluation, parity, printing and the classical generators read.
 
 No normal ordering is ever performed: expressions stay in the order they
 were written, and equality of operators is extensional (action on a
-degree-bounded monomial basis).
+degree-bounded monomial basis), but for the pairs decided below for every
+monomial.
 
 The same nested node (a root vector, a generator inside every bracket) is
 reached many times, within one operator, across every instance of a
@@ -65,6 +66,40 @@ coefficients and the same factors in the same order make the two sides
 one operator, which agrees with itself on every monomial.  Classically
 AuxC18 compares the bracket [f_i, X(j,i-1)] with the table's X(j,i), the
 node built as that same bracket.
+
+A pair of one of two diagonal shapes is decided by grading: it is shown
+to be one operator, on every monomial and so at every degree, without
+applying either side.  Every elementary factor moves the exponent vector
+by a fixed step (the ``step`` column of ``ELEMENTARY``: +-1 at one
+coordinate, 0 for a form).  So along each term path of a product F, one
+term chosen in every nested sum, F sends a monomial m to m + delta times
+a scalar, or to 0, and delta does not depend on m.  Let l be a linear
+form and g(l, F) the set of values of l's coordinate part on the deltas
+of F's paths.  When g(l, F) = {k}:
+
+  * shape S, c (kappa l, F...) against c (F..., kappa l'), with kappa one
+    of qpow, qnum and lin, and l' equal to l but for its constant, which
+    is l's plus k.  A path from m that survives ends at m' = m + delta,
+    and l(m') = l(m) + k exactly, since l's coordinate part is linear and
+    its constant and weight part do not read the monomial.  So
+    kappa(l(m')) = kappa(l'(m)), and either side is kappa(l'(m)) times
+    F's image of m; classically t_i x against x {t_form[i] + k}, and
+    quantum, since q^k q^{l(m)} = q^{l(m)+k}, t_i x against x q^{t_form[i]
+    + k}, which is t_i x = q^k x t_i;
+  * shape C, (qpow l, F..., qpow -l) against q^k x, x the operator F
+    stands for: q^{l(m')} q^{-l(m)} = q^k on every path that survives.
+
+A diagonal factor scales the coefficient and leaves the monomial alone,
+so on both sides F acts on the same monomial m: both take the same paths,
+with the same derivative factors and the same Koszul signs, and a path
+that is annihilated (an exponent below 0, or an odd exponent past 1) dies
+on both.  Every monomial of F's image of m comes from a path that
+survives, so the diagonal scalar is the same for all of them.  The rule
+reads l, k and F from the pair's own factors, so a parsed or a mutated
+set is judged on what it holds.  A pair of another shape, or whose F
+has two values in g(l, F) or none (F is zero), is probed.  A node keeps
+its set g(l, node) for each form's coordinate part once ``first_failure``
+first asks for it.
 
 A node's memo is an (images, pool) pair, made on the node's first nested
 visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
@@ -214,7 +249,7 @@ class OpExpr:
     for deeply nested commutators.
     """
 
-    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo")
+    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo", "_grades")
 
     def __init__(self, cs, terms):
         self.cs = cs
@@ -222,6 +257,7 @@ class OpExpr:
         self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
         self._mask = _support(self.terms)
         self._memo = None   # (images, pool), once the node is nested
+        self._grades = None  # form's coordinates -> g(form, node), on use
 
     # -- constructors -------------------------------------------------------
 
@@ -289,6 +325,18 @@ class OpExpr:
             elif par != p:
                 raise MixedParity("terms of mixed parity in one expression")
         return 0 if par is None else par
+
+    def _values(self, form):
+        """g(form, self): the values of the form's coordinate part on the
+        exponent steps of the node's term paths (see the module
+        docstring), kept per coordinate part."""
+        if self._grades is None:
+            self._grades = {}
+        vals = self._grades.get(form._fields)
+        if vals is None:
+            vals = self._grades[form._fields] = frozenset().union(
+                *(_path_values(ops, form) for _, ops in self.terms))
+        return vals
 
     # -- action -------------------------------------------------------------
 
@@ -397,6 +445,50 @@ def _support(terms):
                 for shift, _ in op[1]._fields:
                     mask |= sp.FIELD_TOP << shift
     return mask
+
+
+def _path_values(factors, form):
+    """g(form, F) of the product F of ``factors``: each path's value is the
+    sum of its factors' values, an elementary factor's being its step
+    times the form's coefficient at its coordinate."""
+    vals = {0}
+    for op in factors:
+        if isinstance(op, OpExpr):
+            vals = {a + b for a in vals for b in op._values(form)}
+        elif ELEMENTARY[op[0]].step:
+            v = ELEMENTARY[op[0]].step * form.coeffs.get(op[1], 0)
+            vals = {a + v for a in vals}
+    return vals
+
+
+def _graded(a, b):
+    """Whether the pair (a, b) is one operator of shape S or C, decided by
+    grading (see the module docstring)."""
+    if len(a.terms) != 1:
+        return False
+    (c, ops), = a.terms
+    head = ops[0] if ops else None
+    if type(head) is not tuple or ELEMENTARY[head[0]].step:
+        return False
+    kind, form = head
+    inner = ops[1:]
+    if len(b.terms) == 1:          # shape S
+        (cb, ops_b), = b.terms
+        tail = ops_b[-1] if ops_b else None
+        if (type(tail) is tuple and tail[0] == kind and cb == c
+                and ops_b[:-1] == inner and tail[1].coeffs == form.coeffs
+                and tail[1].lam == form.lam):
+            return _path_values(inner, form) == {tail[1].const - form.const}
+    if kind != "qpow" or ops[-1] != ("qpow", -form):
+        return False
+    inner = ops[1:-1]              # shape C
+    vals = _path_values(inner, form)
+    if len(vals) != 1:
+        return False
+    s = c * qpow(next(iter(vals)))
+    x = inner[0].terms if len(inner) == 1 and isinstance(
+        inner[0], OpExpr) else ((ONE, inner),)
+    return b.terms == tuple((s * tc, f) for tc, f in x)
 
 
 def _summed(contribs):
@@ -521,7 +613,8 @@ def first_failure(pairs, degree):
     monomials inside its joint support, since its verdict anywhere else is
     that of a monomial it was probed on before (see the module docstring).
     A pair whose sides have equal ``terms`` (equal coefficients, the same
-    factors in the same order) is one operator and is not probed at all.
+    factors in the same order), or that the grading decides, is one
+    operator and is not probed at all.
     """
     first = None
     for k, (a, b) in enumerate(pairs):
@@ -529,7 +622,7 @@ def first_failure(pairs, degree):
             first, basis = a, tuple(basis_monomials(a.cs, degree))
         first._check(a)
         a._check(b)
-        if a.terms == b.terms:
+        if a.terms == b.terms or _graded(a, b):
             continue    # one operator: the pair holds everywhere
         joint = a._mask | b._mask
         for mono in basis:

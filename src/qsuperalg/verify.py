@@ -20,12 +20,18 @@ before.  The suites read the root vectors from the set's one table
 (``gens.roots``), whose X(l,m) is built on the very X(l,m-1) node, so
 these shared nodes are the same objects in every suite.
 
-The classical weight relations C1, C2, C3 and WeightConj, [h_i, x] = k x,
-are stated as h_i x = x (h_i + k), the q -> 1 form of t_i x = q^k x t_i,
-with h_i + k one elementary factor; lhs - rhs is the same operator
-[h_i, x] - k x, so every verdict and witness is that of the bracket form.
+The weight relations t_i x = q^k x t_i are stated as t_i x against
+x q^{t_form[i] + k}; classically [h_i, x] = k x is stated as
+h_i x = x (h_i + k), the q -> 1 form, with h_i + k one elementary factor,
+and lhs - rhs is the same operator [h_i, x] - k x, so every verdict and
+witness is that of the bracket form.  Such a pair, the quantum
+t_i x t_i^-1 = q^k x and Heis 53 and 54 are decided by grading when x is
+homogeneous of grade k (see ``operators``): they then hold at every
+degree, not only up to the bound.  Every generator and root vector is
+homogeneous, so on a built set Q20, Q21, Q22 and WeightConj (C1, C2, C3
+and WeightConj classically) hold at all degrees, and so do Heis 53 and 54.
 A pair whose two sides are one sum of terms, such as classical AuxC18's
-[f_i, X(j,i-1)] against the table's X(j,i), is not probed.
+[f_i, X(j,i-1)] against the table's X(j,i), is not probed either.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
@@ -93,10 +99,11 @@ class _Deformation:
     Each relation family is stated once against this object: a bracket
     twist q^k becomes the plain bracket, an eigenvalue q^k becomes k, the
     weight relations t_i x = q^k x t_i (and t_i x t_i^-1 = q^k x) become
-    h_i x = x (h_i + k), and bare t_i factors drop out.  h_i + k is the
-    one elementary factor {t_form[i] + k}, since h_i is multiplication by
-    t_form[i]; lhs - rhs is [h_i, x] - k x, the bracket form, as an
-    operator.
+    h_i x = x (h_i + k), and bare t_i factors drop out.  Both variants
+    state t_i x = q^k x t_i as t_i x against x times the one elementary
+    factor of t_form[i] + k: q^{t_form[i] + k}, or {t_form[i] + k} for
+    h_i + k, since h_i is multiplication by t_form[i]; lhs - rhs is
+    [h_i, x] - k x, the bracket form, as an operator.
     """
 
     def __init__(self, gens):
@@ -122,13 +129,13 @@ class _Deformation:
         return self.weight(i, x, k)
 
     def weight(self, i, x, k):
-        """(lhs, rhs) of t_i x = q^k x t_i; of h_i x = x (h_i + k)
-        classically, whose lhs - rhs is [h_i, x] - k x."""
-        t = self.gens.t[i]
-        if self.quantum:
-            return t @ x, (x @ t).scale(qpow(k))
-        shifted = (("lin", self.gens.t_form[i].shift(k)),)
-        return t @ x, x @ OpExpr.term(self.gens.cs, shifted)
+        """(lhs, rhs) of t_i x = q^k x t_i, stated as t_i x against
+        x q^{t_form[i] + k}, since q^k q^{l(m)} = q^{l(m)+k}; of
+        h_i x = x (h_i + k) classically, whose lhs - rhs is
+        [h_i, x] - k x."""
+        kind = "qpow" if self.quantum else "lin"
+        shifted = ((kind, self.gens.t_form[i].shift(k)),)
+        return self.gens.t[i] @ x, x @ OpExpr.term(self.gens.cs, shifted)
 
     def t_right(self, x, i):
         """x t_i; x classically."""

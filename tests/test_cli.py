@@ -191,6 +191,25 @@ def test_overflow_leaves_an_existing_output_file_alone(tmp_path):
                                          "--N", "0").stdout
 
 
+def test_an_exit_2_run_creates_no_output_file(tmp_path):
+    overflow = ("verify", "--M", "1", "--N", "0", "--weights", "40000,1",
+                "--degree", "2", "--output")
+    target = tmp_path / "new.txt"
+    out = run_cli(*overflow, str(target))
+    assert out.returncode == 2
+    assert not target.exists()
+    # the same run leaves an existing file byte for byte as it was
+    kept = b"kept\r\n\xff\x00" * 3
+    target.write_bytes(kept)
+    out = run_cli(*overflow, str(target))
+    assert out.returncode == 2
+    assert target.read_bytes() == kept
+    # a directory is refused before any work, as open() would refuse it
+    out = run_cli("generators", "--output", str(tmp_path))
+    assert out.returncode == 2
+    assert "cannot write --output " + str(tmp_path) in out.stderr
+
+
 def test_import_does_not_load_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize at every start
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

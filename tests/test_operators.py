@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from qsuperalg.scalars import RingElem, ONE, MINUS_ONE, qpow, qnum
 from qsuperalg import operators, superpoly, verify
-from qsuperalg.algebra import build_classical, build_quantum, build_root_data
+from qsuperalg.algebra import (GeneratorSet, build_classical, build_quantum,
+                               build_root_data)
 from qsuperalg.superpoly import CoordSystem, MONO_ONE, mono_pack, mono_pairs
 from qsuperalg.operators import (LinForm, OpExpr, ContextMismatch,
                                  MixedParity, graded_commutator,
@@ -481,13 +482,60 @@ def _reference_first_failure(pairs, degree):
     return None
 
 
+_STEP = {"x": 1, "D": -1, "d": -1}
+
+
+def _forms(cs):
+    """Linear forms with small coordinate coefficients, a constant and a
+    multiple of the marker Q1."""
+    return st.builds(
+        lambda co, const, lam: LinForm(dict(enumerate(co)), const,
+                                       ((1, lam),)),
+        st.lists(st.integers(-2, 2), min_size=cs.ncoords,
+                 max_size=cs.ncoords),
+        st.integers(-2, 2), st.integers(-1, 1))
+
+
+def _graded_pairs(cs):
+    """Pairs of the two shapes the grading decides: c (kappa l, F) against
+    c (F, kappa l'), l' being l with its constant raised by k, and
+    c (q^l, F, q^-l) against c q^k F.  F is a drawn tree or zero, and k is
+    either one of the values that the form's coordinate part takes on the
+    exponent steps of F's multiplied-out terms, or any small integer, so
+    that F may be inhomogeneous or of another grade."""
+    @st.composite
+    def pair(draw):
+        tree, flat = draw(st.one_of(
+            _pairs(cs), st.just((OpExpr.zero(cs), OpExpr.zero(cs)))))
+        form = draw(_forms(cs))
+        grades = sorted({sum(_STEP[kind] * form.coeffs.get(arg, 0)
+                             for kind, arg in factors if kind in _STEP)
+                         for _, factors in flat.terms})
+        small = st.integers(-2, 2)
+        k = draw(st.one_of(st.sampled_from(grades), small)
+                 if grades else small)
+        c = draw(st.sampled_from((ONE,) + _SCALARS))
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(("qpow", "qnum", "lin")))
+            a = OpExpr.term(cs, ((kind, form),)) @ tree
+            b = tree @ OpExpr.term(cs, ((kind, form.shift(k)),))
+        else:
+            a = (OpExpr.term(cs, (("qpow", form),)) @ tree
+                 @ OpExpr.term(cs, (("qpow", -form),)))
+            b = tree.scale(qpow(k))
+        return a.scale(c), b.scale(c)
+    return pair()
+
+
 def _pair_lists(cs):
     """Lists of (lhs, rhs) pairs: a tree against its multiplied-out form,
-    which agree everywhere, or two unrelated trees, which mostly do not."""
+    which agree everywhere, two unrelated trees, which mostly do not, or a
+    pair of a shape the grading decides when its tree is homogeneous."""
     agreeing = _pairs(cs)
     unrelated = st.tuples(_pairs(cs), _pairs(cs)).map(
         lambda ab: (ab[0][0], ab[1][0]))
-    return st.lists(st.one_of(agreeing, unrelated), min_size=1, max_size=4)
+    return st.lists(st.one_of(agreeing, unrelated, _graded_pairs(cs)),
+                    min_size=1, max_size=4)
 
 
 @pytest.mark.parametrize("cs", [CoordSystem(1, 1), CoordSystem(2, 1)],
@@ -495,16 +543,76 @@ def _pair_lists(cs):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
-    """first_failure probes a pair only inside its joint support, and a
-    second call on the same nodes reads the images the first one stored,
-    as a generator set's later checks do; neither changes its answer from
-    that of the plain pair-by-pair loop."""
+    """first_failure probes a pair only inside its joint support, decides
+    a pair of shape S or C by grading, and a second call on the same nodes
+    reads the images and the gradings the first one stored, as a generator
+    set's later checks do; none of these changes its answer from that of
+    the plain pair-by-pair loop."""
     for _ in range(2):
         pairs = data.draw(_pair_lists(cs))
         degree = data.draw(st.integers(0, 3))
         want = _reference_first_failure(pairs, degree)
         assert first_failure(pairs, degree) == want    # cold
         assert first_failure(pairs, degree) == want    # warm
+
+
+@pytest.mark.parametrize("build", [build_quantum, build_classical],
+                         ids=["quantum", "classical"])
+def test_an_inhomogeneous_weight_pair_is_probed_and_fails(monkeypatch,
+                                                          build):
+    """t_1 (e_1 + f_1) against q^2 (e_1 + f_1) t_1 at (1,1): e_1 has grade
+    a_11 = 2 and f_1 grade -2, so the grading does not decide the pair; it
+    is probed and fails with the reference witness."""
+    gens = build(build_root_data(1, 1))
+    x = gens.e[1] + gens.f[1]
+    pair = verify._Deformation(gens).weight(1, x, 2)
+    applied = _record_applied(monkeypatch)
+    found = first_failure([pair], 2)
+    assert found is not None
+    assert pair[0] in applied and pair[1] in applied
+    assert found == _reference_first_failure([pair], 2)
+
+
+@pytest.mark.parametrize("build", [build_quantum, build_classical],
+                         ids=["quantum", "classical"])
+def test_a_mutated_weight_form_keeps_its_verdict_and_witness(monkeypatch,
+                                                             build):
+    """A set whose t_1 and t_form[1] read M(1,3) with the wrong sign, as a
+    mutated listing would, at (1,1): every Cartan and WeightConj suite gets
+    the reference verdict and witness.  The grading still decides the
+    pairs it can: t_1 with each t_j, and t_1 with e_1 and e_2, whose steps
+    do not reach M(1,3), before t_1 with e_3 fails."""
+    gens = build(build_root_data(1, 1))
+    form, p = gens.t_form[1], gens.cs.pos[1, 3]
+    bad = LinForm({**form.coeffs, p: -form.coeffs[p]}, form.const, form.lam)
+    (kind, _), = gens.t[1].terms[0][1]
+    t, t_form = dict(gens.t), dict(gens.t_form)
+    t[1], t_form[1] = OpExpr.term(gens.cs, ((kind, bad),)), bad
+    mutated = GeneratorSet(gens.data, gens.cs, gens.variant, gens.weights,
+                           t, gens.e, gens.f, t_form)
+    suites = _suite_instances(monkeypatch, verify.check_cartan_relations,
+                              mutated, 2)
+    suites.update(_suite_instances(
+        monkeypatch, verify.check_weight_conjugation, mutated, 2))
+    decided = []
+    graded = operators._graded
+
+    def counted(a, b):
+        decided.append(graded(a, b))
+        return decided[-1]
+    monkeypatch.setattr(operators, "_graded", counted)
+    failed = {}
+    for tag, instances in suites.items():
+        pairs = [(lhs, rhs) for _, lhs, rhs in instances]
+        del decided[:]
+        found = first_failure(pairs, 2)
+        assert found == _reference_first_failure(pairs, 2), tag
+        failed[tag] = found and (found[0], sum(decided))
+    names = sorted(suites)
+    q20, q21 = names[0], names[1]      # C1, C2 or Q20, Q21
+    assert failed[q20] is None
+    assert failed[q21] == (2, 2)
+    assert all(failed[tag] for tag in names[1:])
 
 
 def _count_top_level_applies(monkeypatch):
@@ -528,13 +636,16 @@ def _count_top_level_applies(monkeypatch):
 
 def test_heisenberg_probes_each_pair_inside_its_support(monkeypatch):
     """Heis at (2,1), degree 3: 30 instances, each on one coordinate.
-    Probing all 220 basis monomials took 13,200 calls; inside its support
-    an instance sees 4 monomials on an even coordinate (x^0 .. x^3) and 2
-    on an odd one, and (2,1) has 4 even and 6 odd coordinates."""
+    Probing all 220 basis monomials took 13,200 calls, and probing each
+    instance inside its support 168: an instance sees 4 monomials on an
+    even coordinate (x^0 .. x^3) and 2 on an odd one, and (2,1) has 4 even
+    and 6 odd coordinates.  The grading decides 53 and 54, [M] x = x [M+1]
+    and [M] D = D [M-1], so only 55 and 56, one per coordinate, are
+    probed, each side once per monomial."""
     calls = _count_top_level_applies(monkeypatch)
     results = verify.check_heisenberg(CoordSystem(2, 1), 3)
     assert [r["status"] for r in results] == ["pass"]
-    assert calls[0] == 2 * 3 * (4 * 4 + 6 * 2) == 168
+    assert calls[0] == 2 * (4 * 4 + 6 * 2) == 56
 
 
 def _suite_instances(monkeypatch, check, *args):
@@ -641,19 +752,18 @@ def test_weight_conjugation_work_count(monkeypatch):
     """Koszul-layer calls for WeightConj at (1,1), quantum, degree 3.
 
     Checked one instance after another, each with a memo of its own and
-    X(l,m) built again for every i, the suite made 14736 such steps, and
-    with one memo per basis monomial shared by every instance 3114.  With
-    each nested node keeping its images, keyed by the part of the monomial
-    in the node's support, and the root vectors read from one table, a root
-    vector's image is computed once for every monomial that agrees on its
-    support, for the whole suite.
+    X(l,m) built again for every i, the suite made 14736 such steps; with
+    one memo per basis monomial shared by every instance 3114, and with
+    each root vector keeping its images 546.  Every root vector is
+    homogeneous for every t_form, so the grading decides all 18 instances
+    of t_i X(l,m) = q^k X(l,m) t_i and the suite applies no operator.
     """
     gens = build_quantum(build_root_data(1, 1))
     calls = _count_koszul_calls(monkeypatch)
     results = verify.check_weight_conjugation(gens, 3)
     assert [r["status"] for r in results] == ["pass"]
-    assert calls[0] == 546
-    assert calls[0] < 14736
+    assert results[0]["instances"] == 18
+    assert calls[0] == 0
 
 
 def test_serre_memo_miss_count(monkeypatch):
@@ -688,20 +798,24 @@ def _record_stored(monkeypatch):
 
 
 def test_images_live_and_die_with_the_generator_set(monkeypatch):
-    """A root vector's images stored by check_aux serve WeightConj on the
-    same set, whose suites read the same root-vector nodes, and nothing the
-    run returns or the package keeps holds an image once the set is gone."""
+    """The images one suite stores serve a later suite on the same set,
+    whose suites read the same e_i and root-vector nodes: classical AuxC17
+    at (2,1), degree 3, stores 2,461 images on a fresh set and 1 after
+    AuxC16.  And nothing the run returns or the package keeps holds an
+    image once the set is gone."""
     stored = _record_stored(monkeypatch)
     gens = build_classical(build_root_data(2, 1))
-    assert verify.check_weight_conjugation(gens, 3)[0]["status"] == "pass"
-    assert len(stored) == 2381
+    aux = _suite_instances(monkeypatch, verify.check_aux, gens, 3, 3)
+    assert verify._run("AuxC17", 3, aux["AuxC17"])["status"] == "pass"
+    assert len(stored) == 2461
     gens = build_classical(build_root_data(2, 1))
-    verify.check_aux(gens, 3, 3)
+    aux = _suite_instances(monkeypatch, verify.check_aux, gens, 3, 3)
+    assert verify._run("AuxC16", 3, aux["AuxC16"])["status"] == "pass"
     del stored[:]
-    assert verify.check_weight_conjugation(gens, 3)[0]["status"] == "pass"
-    assert stored == []
+    assert verify._run("AuxC17", 3, aux["AuxC17"])["status"] == "pass"
+    assert len(stored) == 1
 
-    del gens, stored[:]
+    del gens, aux, stored[:]
     report = verify.run_full(1, 1, degree=2, nmax=2)
     # the empty image is the interpreter's one empty tuple
     images = [img for img in stored if img]
@@ -802,6 +916,26 @@ def test_classical_auxc18_applies_nothing(monkeypatch, MN):
     assert instances
     applied = _record_applied(monkeypatch)
     assert verify._run("AuxC18", 3, instances)["status"] == "pass"
+    assert applied == []
+
+
+@pytest.mark.parametrize("build", [build_quantum, build_classical],
+                         ids=["quantum", "classical"])
+def test_weight_relations_apply_nothing(monkeypatch, build):
+    """Every generator and root vector is homogeneous for every t_form, so
+    the grading decides every instance of the weight relations at (2,1):
+    t_i x = q^k x t_i (shape S), the quantum t_i x t_i^-1 = q^k x (shape
+    C) and their classical form h_i x = x (h_i + k)."""
+    gens = build(build_root_data(2, 1))
+    suites = _suite_instances(monkeypatch, verify.check_cartan_relations,
+                              gens, 3)
+    suites.update(_suite_instances(
+        monkeypatch, verify.check_weight_conjugation, gens, 3))
+    tags = sorted(suites)[:3] + ["WeightConj"]    # Q20-Q22 or C1-C3
+    assert [len(suites[tag]) for tag in tags] == [6, 16, 16, 40]
+    applied = _record_applied(monkeypatch)
+    for tag in tags:
+        assert verify._run(tag, 3, suites[tag])["status"] == "pass"
     assert applied == []
 
 
