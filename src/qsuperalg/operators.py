@@ -45,15 +45,25 @@ u has an odd number of odd coordinates.  This is exact:
   * along any path the number of steps at an odd p has the parity of p's
     exponent change, which is bit p of m2 ^ r.
 
-Nothing in this argument needs the mask to be the node's own: any mask
-that contains the node's support serves.  So the same rule decides a pair
-(a, b) on most monomials without probing it.  Let J be the union of the
-two sides' masks, m a basis monomial, r = m & J and u = m - r:
+A pair (a, b) is probed as one operator, its residual a - b: the terms
+of a and those of b with their coefficients negated, threaded through
+once per monomial.  At each image monomial the two sides' contributions
+are summed in one pass, so on a monomial where the pair agrees they
+cancel inside that sum and neither side's coefficient is brought to
+canonical form on its own.  A scalar's canonical form is unique, so the
+residual's image is exactly a's image less b's, and it is empty exactly
+when the two agree.
 
-  * each side's image at m is T_u of its image at r, where T_u maps each
-    term (m2, c) to (m2 + u, +-c) and the sign depends only on
-    P(u) & (m2 ^ r); T_u is one injective map for both sides, so the pair
-    agrees at m if and only if it agrees at r;
+Nothing in the memo's argument needs the mask to be the node's own: any
+mask that contains the node's support serves.  So the same rule decides
+a pair on most monomials without probing it.  Let J be the residual's
+mask, the union of the two sides' masks, m a basis monomial, r = m & J
+and u = m - r:
+
+  * the residual's image at m is T_u of its image at r, where T_u maps
+    each term (m2, c) to (m2 + u, +-c) and the sign depends only on
+    P(u) & (m2 ^ r); T_u is injective, so the pair agrees at m if and
+    only if it agrees at r;
   * when r != m, r is a basis monomial of lower degree, so it comes
     before m in the graded basis order and the pair's own check reached
     it first;
@@ -284,7 +294,10 @@ class OpExpr:
         return OpExpr(self.cs, self.terms + other.terms)
 
     def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
+        # -c keeps each coefficient's cached flags; a product with -1 would not
+        self._check(other)
+        return OpExpr(self.cs, self.terms + tuple((-c, ops)
+                                                  for c, ops in other.terms))
 
     def scale(self, c):
         return OpExpr(self.cs, tuple((c * tc, ops) for tc, ops in self.terms))
@@ -609,12 +622,13 @@ def first_failure(pairs, degree):
     on the basis monomials in canonical order.  Returns None when every
     pair agrees on every basis monomial, else (k, monomial, residual): k
     indexes the first failing pair, the monomial is its first failing one
-    and the residual is lhs - rhs there.  A pair is probed only on the
-    monomials inside its joint support, since its verdict anywhere else is
-    that of a monomial it was probed on before (see the module docstring).
-    A pair whose sides have equal ``terms`` (equal coefficients, the same
-    factors in the same order), or that the grading decides, is one
-    operator and is not probed at all.
+    and the residual is lhs - rhs there.  A pair whose sides have equal
+    ``terms`` (equal coefficients, the same factors in the same order), or
+    that the grading decides, is one operator and is not probed at all.
+    Any other pair is probed by one application of its residual lhs - rhs
+    per monomial, only on the monomials inside its joint support, since
+    its verdict anywhere else is that of a monomial it was probed on
+    before; a nonempty image is the residual (see the module docstring).
     """
     first = None
     for k, (a, b) in enumerate(pairs):
@@ -624,17 +638,12 @@ def first_failure(pairs, degree):
         a._check(b)
         if a.terms == b.terms or _graded(a, b):
             continue    # one operator: the pair holds everywhere
-        joint = a._mask | b._mask
+        residual = a - b
+        joint = residual._mask      # a._mask | b._mask
         for mono in basis:
             if mono & joint != mono:
                 continue
-            img_a = a.apply_monomial(mono)
-            img_b = b.apply_monomial(mono)
-            # no image stores a zero coefficient, so == is exact equality
-            if img_a != img_b:
-                # the residual: img_a's terms plus img_b's, each negated
-                diff = {m: [(c, None, False)] for m, c in img_a.items()}
-                for m, c in img_b.items():
-                    diff.setdefault(m, []).append((c, None, True))
-                return k, mono, _summed(diff)
+            img = residual.apply_monomial(mono)
+            if img:
+                return k, mono, img
     return None

@@ -33,6 +33,15 @@ and WeightConj classically) hold at all degrees, and so do Heis 53 and 54.
 A pair whose two sides are one sum of terms, such as classical AuxC18's
 [f_i, X(j,i-1)] against the table's X(j,i), is not probed either.
 
+The quantum AuxQ41 is the power law f_i X^n = q^{-n nu_i} X^n f_i
++ [n] X^{n-1} X(j,i) with X = X(j,i-1).  Its rhs is stated as X^{n-1} W,
+W = q^{-n nu_i} X f_i + [n] X(j,i) nested once, and for n = 1 as W's two
+flat terms.  Scalars are central, so X^{n-1} (a X f_i + [n] Y) =
+a X^n f_i + [n] X^{n-1} Y: it is the same operator, and every verdict
+and witness is that of the two-term rhs, for parsed and mutated sets too.
+The n - 1 copies of X then act once on W's merged image, not once per
+term.
+
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
 basis, which is exactly {1}.
@@ -279,14 +288,16 @@ def check_aux(gens, degree, nmax):
             # powers of an odd root vector vanish, so the power law
             # is only meaningful for even ones beyond n = 1
             top = nmax if base.parity() == 0 else 1
-            # X^n is the flat chain (X, ..., X) of n copies of the node
-            xn = OpExpr.identity(cs)
+            # X^n is the flat chain (X, ..., X) of n copies of the node, and
+            # the rhs X^(n-1) W shares it (see the module docstring)
+            xn = one = OpExpr.identity(cs)
             for n in range(1, top + 1):
                 prev, xn = xn, xn @ base
                 lhs = gens.f[i] @ xn
-                rhs = xn.compose(gens.f[i]).scale(qpow(-n * nu[i])) \
-                    + prev.compose(X[(j, i)]).scale(qnum(n))
-                yield "i=%d,j=%d,n=%d" % (i, j, n), lhs, rhs
+                w = (base @ gens.f[i]).scale(qpow(-n * nu[i])) \
+                    + (one @ X[(j, i)]).scale(qnum(n))
+                yield ("i=%d,j=%d,n=%d" % (i, j, n), lhs,
+                       w if n == 1 else prev @ w)
 
     def aux42():
         for i, j in below:
