@@ -77,27 +77,23 @@ one operator, which agrees with itself on every monomial.  Classically
 AuxC18 compares the bracket [f_i, X(j,i-1)] with the table's X(j,i), the
 node built as that same bracket.
 
-A pair of one of two diagonal shapes is decided by grading: it is shown
-to be one operator, on every monomial and so at every degree, without
-applying either side.  Every elementary factor moves the exponent vector
-by a fixed step (the ``step`` column of ``ELEMENTARY``: +-1 at one
-coordinate, 0 for a form).  So along each term path of a product F, one
-term chosen in every nested sum, F sends a monomial m to m + delta times
-a scalar, or to 0, and delta does not depend on m.  Let l be a linear
-form and g(l, F) the set of values of l's coordinate part on the deltas
-of F's paths.  When g(l, F) = {k}:
-
-  * shape S, c (kappa l, F...) against c (F..., kappa l'), with kappa one
-    of qpow, qnum and lin, and l' equal to l but for its constant, which
-    is l's plus k.  A path from m that survives ends at m' = m + delta,
-    and l(m') = l(m) + k exactly, since l's coordinate part is linear and
-    its constant and weight part do not read the monomial.  So
-    kappa(l(m')) = kappa(l'(m)), and either side is kappa(l'(m)) times
-    F's image of m; classically t_i x against x {t_form[i] + k}, and
-    quantum, since q^k q^{l(m)} = q^{l(m)+k}, t_i x against x q^{t_form[i]
-    + k}, which is t_i x = q^k x t_i;
-  * shape C, (qpow l, F..., qpow -l) against q^k x, x the operator F
-    stands for: q^{l(m')} q^{-l(m)} = q^k on every path that survives.
+A pair of one diagonal shape is decided by grading: it is shown to be
+one operator, on every monomial and so at every degree, without applying
+either side.  Every elementary factor moves the exponent vector by a
+fixed step (the ``step`` column of ``ELEMENTARY``: +-1 at one coordinate,
+0 for a form).  So along each term path of a product F, one term chosen
+in every nested sum, F sends a monomial m to m + delta times a scalar, or
+to 0, and delta does not depend on m.  Let l be a linear form and
+g(l, F) the set of values of l's coordinate part on the deltas of F's
+paths.  The shape is c (kappa l, F...) against c (F..., kappa l'), with
+kappa one of qpow, qnum and lin, and l' equal to l but for its constant,
+which is l's plus k.  When g(l, F) = {k}, a path from m that survives
+ends at m' = m + delta, and l(m') = l(m) + k exactly, since l's
+coordinate part is linear and its constant and weight part do not read
+the monomial.  So kappa(l(m')) = kappa(l'(m)), and either side is
+kappa(l'(m)) times F's image of m.  Classically this is t_i x against
+x {t_form[i] + k}, and quantum, since q^k q^{l(m)} = q^{l(m)+k}, t_i x
+against x q^{t_form[i] + k}, which is t_i x = q^k x t_i.
 
 A diagonal factor scales the coefficient and leaves the monomial alone,
 so on both sides F acts on the same monomial m: both take the same paths,
@@ -475,33 +471,21 @@ def _path_values(factors, form):
 
 
 def _graded(a, b):
-    """Whether the pair (a, b) is one operator of shape S or C, decided by
-    grading (see the module docstring)."""
-    if len(a.terms) != 1:
+    """Whether the pair (a, b) is one operator, c (kappa l, F...) against
+    c (F..., kappa l'), decided by grading (see the module docstring)."""
+    if len(a.terms) != 1 or len(b.terms) != 1:
         return False
     (c, ops), = a.terms
+    (cb, ops_b), = b.terms
     head = ops[0] if ops else None
-    if type(head) is not tuple or ELEMENTARY[head[0]].step:
+    tail = ops_b[-1] if ops_b else None
+    if (type(head) is not tuple or type(tail) is not tuple
+            or ELEMENTARY[head[0]].step or tail[0] != head[0] or cb != c
+            or ops_b[:-1] != ops[1:]):
         return False
-    kind, form = head
-    inner = ops[1:]
-    if len(b.terms) == 1:          # shape S
-        (cb, ops_b), = b.terms
-        tail = ops_b[-1] if ops_b else None
-        if (type(tail) is tuple and tail[0] == kind and cb == c
-                and ops_b[:-1] == inner and tail[1].coeffs == form.coeffs
-                and tail[1].lam == form.lam):
-            return _path_values(inner, form) == {tail[1].const - form.const}
-    if kind != "qpow" or ops[-1] != ("qpow", -form):
-        return False
-    inner = ops[1:-1]              # shape C
-    vals = _path_values(inner, form)
-    if len(vals) != 1:
-        return False
-    s = c * qpow(next(iter(vals)))
-    x = inner[0].terms if len(inner) == 1 and isinstance(
-        inner[0], OpExpr) else ((ONE, inner),)
-    return b.terms == tuple((s * tc, f) for tc, f in x)
+    form, shifted = head[1], tail[1]
+    return (shifted.coeffs == form.coeffs and shifted.lam == form.lam
+            and _path_values(ops[1:], form) == {shifted.const - form.const})
 
 
 def _summed(contribs):

@@ -24,12 +24,17 @@ The weight relations t_i x = q^k x t_i are stated as t_i x against
 x q^{t_form[i] + k}; classically [h_i, x] = k x is stated as
 h_i x = x (h_i + k), the q -> 1 form, with h_i + k one elementary factor,
 and lhs - rhs is the same operator [h_i, x] - k x, so every verdict and
-witness is that of the bracket form.  Such a pair, the quantum
-t_i x t_i^-1 = q^k x and Heis 53 and 54 are decided by grading when x is
-homogeneous of grade k (see ``operators``): they then hold at every
-degree, not only up to the bound.  Every generator and root vector is
-homogeneous, so on a built set Q20, Q21, Q22 and WeightConj (C1, C2, C3
-and WeightConj classically) hold at all degrees, and so do Heis 53 and 54.
+witness is that of the bracket form.  The quantum t_i x t_i^-1 = q^k x
+(Q21, Q22) is the weight relation of x t_i^-1: t_i (x t_i^-1) against
+(x t_i^-1) q^{t_form[i] + k}.  On a monomial m that rhs multiplies by
+q^{l(m)+k} q^{-l(m)} = q^k, l = t_form[i], before x acts, so it is the
+operator q^k x: lhs - rhs is t_i x t_i^-1 - q^k x, and every verdict and
+witness is that of the rhs q^k x.  Such a pair and Heis 53 and 54 are
+decided by grading when x is homogeneous of grade k (see ``operators``):
+they then hold at every degree, not only up to the bound.  Every
+generator and root vector is homogeneous, so on a built set Q20, Q21, Q22
+and WeightConj (C1, C2, C3 and WeightConj classically) hold at all
+degrees, and so do Heis 53 and 54.
 A pair whose two sides are one sum of terms, such as classical AuxC18's
 [f_i, X(j,i-1)] against the table's X(j,i), is not probed either.
 
@@ -112,7 +117,9 @@ class _Deformation:
     state t_i x = q^k x t_i as t_i x against x times the one elementary
     factor of t_form[i] + k: q^{t_form[i] + k}, or {t_form[i] + k} for
     h_i + k, since h_i is multiplication by t_form[i]; lhs - rhs is
-    [h_i, x] - k x, the bracket form, as an operator.
+    [h_i, x] - k x, the bracket form, as an operator.  The quantum
+    t_i x t_i^-1 = q^k x is that same statement for x t_i^-1:
+    t_i (x t_i^-1) against (x t_i^-1) q^{t_form[i] + k}.
     """
 
     def __init__(self, gens):
@@ -131,11 +138,12 @@ class _Deformation:
         return qpow(k) if self.quantum else RingElem.from_rational(k)
 
     def conj(self, i, x, k):
-        """(lhs, rhs) of t_i x t_i^-1 = q^k x; classically the weight
-        relation h_i x = x (h_i + k), whose lhs - rhs is [h_i, x] - k x."""
-        if self.quantum:
-            return self.gens.t[i] @ x @ self.gens.t_inv(i), x.scale(qpow(k))
-        return self.weight(i, x, k)
+        """(lhs, rhs) of t_i x t_i^-1 = q^k x, stated as the weight
+        relation of y = x t_i^-1, t_i y against y q^{t_form[i] + k}, whose
+        rhs is the operator q^k x (see the module docstring); classically
+        h_i x = x (h_i + k), whose lhs - rhs is [h_i, x] - k x."""
+        return self.weight(i, x @ self.gens.t_inv(i) if self.quantum else x,
+                           k)
 
     def weight(self, i, x, k):
         """(lhs, rhs) of t_i x = q^k x t_i, stated as t_i x against

@@ -8,7 +8,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qsuperalg.scalars import RingElem, ONE, MINUS_ONE, qpow, qnum
 from qsuperalg import operators, superpoly, verify
@@ -497,12 +497,14 @@ def _forms(cs):
 
 
 def _graded_pairs(cs):
-    """Pairs of the two shapes the grading decides: c (kappa l, F) against
-    c (F, kappa l'), l' being l with its constant raised by k, and
-    c (q^l, F, q^-l) against c q^k F.  F is a drawn tree or zero, and k is
-    either one of the values that the form's coordinate part takes on the
-    exponent steps of F's multiplied-out terms, or any small integer, so
-    that F may be inhomogeneous or of another grade."""
+    """Pairs of the shape the grading decides, c (kappa l, F) against
+    c (F, kappa l'), l' being l with its constant raised by k, and pairs
+    c (q^l, F, q^-l) against c q^k F, a conjugation stated without the
+    weight relation, which the grading leaves to the probe.  F is a drawn
+    tree or zero, and k is either one of the values that the form's
+    coordinate part takes on the exponent steps of F's multiplied-out
+    terms, or any small integer, so that F may be inhomogeneous or of
+    another grade."""
     @st.composite
     def pair(draw):
         tree, flat = draw(st.one_of(
@@ -563,15 +565,19 @@ def _pair_lists(cs):
 
 @pytest.mark.parametrize("cs", [CoordSystem(1, 1), CoordSystem(2, 1)],
                          ids=["(1,1)", "(2,1)"])
-@settings(max_examples=40, deadline=None)
+# a failure is reported as drawn: shrinking it runs the unmemoised
+# reference again for every candidate, which takes minutes
+@settings(max_examples=40, deadline=None,
+          phases=tuple(p for p in Phase if p is not Phase.shrink))
 @given(data=st.data())
 def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
     """first_failure probes a pair only inside its joint support, by one
-    application of its residual lhs - rhs, decides a pair of shape S or C
-    by grading, and a second call on the same nodes reads the images and
-    the gradings the first one stored, as a generator set's later checks
-    do; none of these changes its answer from that of the plain loop,
-    which applies each side apart and compares the images."""
+    application of its residual lhs - rhs, decides a pair by grading when
+    it has the diagonal shape, and a second call on the same nodes reads
+    the images and the gradings the first one stored, as a generator
+    set's later checks do; none of these changes its answer from that of
+    the plain loop, which applies each side apart and compares the
+    images.  A conjugation c (q^l, F, q^-l) against c q^k F is probed."""
     for _ in range(2):
         pairs = data.draw(_pair_lists(cs))
         degree = data.draw(st.integers(0, 3))
@@ -580,21 +586,28 @@ def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
         assert first_failure(pairs, degree) == want    # warm
 
 
-@pytest.mark.parametrize("build", [build_quantum, build_classical],
-                         ids=["quantum", "classical"])
+@pytest.mark.parametrize("build, relation", [
+    (build_quantum, "weight"), (build_classical, "weight"),
+    (build_quantum, "conj")], ids=["quantum", "classical", "quantum-conj"])
 def test_an_inhomogeneous_weight_pair_is_probed_and_fails(monkeypatch,
-                                                          build):
-    """t_1 (e_1 + f_1) against q^2 (e_1 + f_1) t_1 at (1,1): e_1 has grade
-    a_11 = 2 and f_1 grade -2, so the grading does not decide the pair; it
-    is probed and fails with the reference witness."""
+                                                          build, relation):
+    """t_1 (e_1 + f_1) against q^2 (e_1 + f_1) t_1 at (1,1), and the
+    quantum t_1 (e_1 + f_1) t_1^-1 = q^2 (e_1 + f_1), stated as the weight
+    relation of (e_1 + f_1) t_1^-1: e_1 has grade a_11 = 2 and f_1 grade
+    -2, so the grading does not decide the pair; it is probed and fails
+    with the reference witness.  The conjugation's witness is that of
+    t_1 x t_1^-1 against q^2 x, its statement as a scaled rhs."""
     gens = build(build_root_data(1, 1))
     x = gens.e[1] + gens.f[1]
-    pair = verify._Deformation(gens).weight(1, x, 2)
+    pair = getattr(verify._Deformation(gens), relation)(1, x, 2)
     applied = _record_applied(monkeypatch)
     found = first_failure([pair], 2)
     assert found is not None
     assert _residual_applied(applied, *pair)
     assert found == _reference_first_failure([pair], 2)
+    if relation == "conj":
+        scaled = (gens.t[1] @ x @ gens.t_inv(1), x.scale(qpow(2)))
+        assert found == first_failure([scaled], 2)
 
 
 @pytest.mark.parametrize("build", [build_quantum, build_classical],
@@ -980,8 +993,9 @@ def test_classical_auxc18_applies_nothing(monkeypatch, MN):
 def test_weight_relations_apply_nothing(monkeypatch, build):
     """Every generator and root vector is homogeneous for every t_form, so
     the grading decides every instance of the weight relations at (2,1):
-    t_i x = q^k x t_i (shape S), the quantum t_i x t_i^-1 = q^k x (shape
-    C) and their classical form h_i x = x (h_i + k)."""
+    t_i x = q^k x t_i, the quantum t_i x t_i^-1 = q^k x, stated as the
+    weight relation of x t_i^-1, and their classical form
+    h_i x = x (h_i + k)."""
     gens = build(build_root_data(2, 1))
     suites = _suite_instances(monkeypatch, verify.check_cartan_relations,
                               gens, 3)
