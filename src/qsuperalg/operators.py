@@ -290,7 +290,8 @@ class OpExpr:
         return OpExpr(self.cs, self.terms + other.terms)
 
     def __sub__(self, other):
-        # -c keeps each coefficient's cached flags; a product with -1 would not
+        # -c copies each numerator once; a product with -1 would go
+        # through the scalar kernel
         self._check(other)
         return OpExpr(self.cs, self.terms + tuple((-c, ops)
                                                   for c, ops in other.terms))
@@ -613,7 +614,10 @@ def first_failure(pairs, degree):
     per monomial, only on the monomials inside its joint support, since
     its verdict anywhere else is that of a monomial it was probed on
     before; a nonempty image is the residual (see the module docstring).
+    A negative degree raises ``ValueError`` before any pair is read.
     """
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
     first = None
     for k, (a, b) in enumerate(pairs):
         if first is None:

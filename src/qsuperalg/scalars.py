@@ -5,20 +5,18 @@ A scalar is a Laurent polynomial in q and the weight markers Q1, Q2, ...
 q-numbers [c + lambda] = (q^c Q - q^-c Q^-1)/(q - q^-1) are the only
 denominators.  It is stored as (num, k), with value num / (q^2 - 1)^k and
 exact rational coefficients, in canonical form: if k > 0, (q^2 - 1) does
-not divide num.  So ``==`` and the hash read the pair.  A product adds
-the k's and cancels (q^2 - 1) while it divides.  Every sum is one pass,
-``sum_of_products``: it adds any number of products +-a*b into one
-numerator per k, lifts each lower k once to the highest by
-(q^2 - 1)^dk, and cancels (q^2 - 1) from the whole sum at the end;
-``+`` and ``-`` are its two-term case.
+not divide num.  So ``==`` and the hash read the pair.  One kernel,
+``sum_of_products``, computes every result: it adds any number of
+products +-a*b into one numerator per k, lifts each lower k once to the
+highest by (q^2 - 1)^dk, and cancels (q^2 - 1) from the whole result at
+the end.  ``+`` and ``-`` are its two-term case and ``*`` its one-product
+case.
 
 q - 1 and q + 1 are coprime primes of Q[q^+-1, Q^+-1], so (q^2 - 1)
 divides num exactly when num vanishes at q = 1 and at q = -1 in every
-marker group.  Evaluation at q = +-1 is a ring map into the domain
-Q[Q^+-1]: a product's two vanishing flags are the OR of its factors', with
-no scan, so only a sum's numerator is scanned: once, and again after
-each division by (q^2 - 1).  Flags are computed on first use and cached,
-so k = 0 elements (every classical scalar) never pay for them.
+marker group.  ``_canonical`` scans a result with k > 0 for those two
+flags once, and again after each division by (q^2 - 1); it never scans a
+k = 0 result, so every classical scalar goes unscanned.
 
 A monomial q^e0 Q1^e1 Q2^e2 ... is keyed by the int e0 + e1 B + e2 B^2 + ...
 with B = 2^16 and every |ei| <= LIMIT (Kronecker substitution, balanced
@@ -119,25 +117,14 @@ def _div_qsq1(n):
 
 
 def _lift(n, d):
-    """num * (q^2 - 1)^d."""
+    """num * (q^2 - 1)^d, zero coefficients included."""
     for _ in range(d):
-        n = _mul(n, _QSQ1)
+        out = {key + 2: c for key, c in n.items()}
+        get = out.get
+        for key, c in n.items():
+            out[key] = get(key, 0) - c
+        n = out
     return n
-
-
-def _mul(a, b):
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((ka, ca),) = a.items()
-        return {ka + kb: ca * cb for kb, cb in b.items()}
-    out = {}
-    get = out.get
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    return _nonzero(out)
 
 
 def _nonzero(n):
@@ -161,25 +148,26 @@ def _rational(c):
 
 class RingElem:
     """An exact scalar num / (q^2 - 1)^k in canonical form; immutable.
+    ``sum_of_products`` computes ``+`` and ``-``, and ``*`` unless a factor
+    is 1.
 
     Read-only views: ``num`` maps (qexp, sorted marker tuple) to coefficients,
     ``den`` is (q^2 - 1)^k as a dict qexp -> coefficient, ``denom_pow`` is k.
     """
 
-    __slots__ = ("_n", "_k", "_b", "_v")
+    __slots__ = ("_n", "_k", "_b")
 
-    def __init__(self, n, k, b, v=None):
+    def __init__(self, n, k, b):
         self._n = n     # packed numerator
         self._k = k     # power of (q^2 - 1) in the denominator
         self._b = b     # bound on the largest |exponent| in any key
-        self._v = v     # _flags(n), or None until first needed
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rational(c):
         c = _rational(c)
-        return RingElem({0: c}, 0, 0, 0) if c else ZERO
+        return RingElem({0: c}, 0, 0) if c else ZERO
 
     @staticmethod
     def monomial(qexp=0, weights=(), coeff=1):
@@ -190,7 +178,7 @@ class RingElem:
         if not coeff:
             return ZERO
         key, bound = _pack(qexp, weights)
-        return RingElem({key: coeff}, 0, bound, 0)
+        return RingElem({key: coeff}, 0, bound)
 
     @property
     def num(self):
@@ -216,12 +204,6 @@ class RingElem:
     def has_markers(self):
         return any((key + _H) >> _W for key in self._n)
 
-    def _flags(self):
-        v = self._v
-        if v is None:
-            v = self._v = _flags(self._n)
-        return v
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -232,29 +214,17 @@ class RingElem:
 
     def __neg__(self):
         return RingElem({key: -c for key, c in self._n.items()},
-                        self._k, self._b, self._v)
+                        self._k, self._b)
 
     def __mul__(self, other):
-        a, b = self._n, other._n
-        if not a or not b:
-            return ZERO
-        # more than half of all products on the verify path have a unit
-        # factor; elements are immutable, so the other one is the product
-        if not other._k and b == _ONE_N:
+        # a unit factor skips the kernel: 2,753 of 14,070 products at (2,1)
+        # prop3 degree 2, 3,201 of 5,113 at (2,1) classical degree 3;
+        # elements are immutable, so the other factor is the product
+        if other.is_one():
             return self
-        if not self._k and a == _ONE_N:
+        if self.is_one():
             return other
-        bound = self._b + other._b
-        if bound > LIMIT:
-            bound = _fit(_exact_bound(a) + _exact_bound(b))
-        k = self._k + other._k
-        n = _mul(a, b)
-        if not k:
-            return RingElem(n, 0, bound)
-        # a single term never vanishes at q = +-1
-        va = 0 if len(a) == 1 else self._flags()
-        vb = 0 if len(b) == 1 else other._flags()
-        return _canonical(n, k, bound, va | vb)
+        return sum_of_products(((self, other, False),))
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
@@ -358,22 +328,17 @@ def sum_of_products(terms):
             bound = b
         for key, c in _lift(acc, d).items():
             n[key] = get(key, 0) + c
-    return _canonical(_nonzero(n), top, bound, None)
+    return _canonical(_nonzero(n), top, bound)
 
 
-def _canonical(n, k, bound, v):
-    """n / (q^2 - 1)^k in canonical form; ``v`` is _flags(n) or None."""
+def _canonical(n, k, bound):
+    """n / (q^2 - 1)^k in canonical form."""
     if not n:
         return ZERO
-    while k:
-        if v is None:
-            v = _flags(n)
-        if v != 3:
-            break
+    while k and _flags(n) == 3:
         n = _div_qsq1(n)
         k -= 1
-        v = None
-    return RingElem(n, k, bound, v)
+    return RingElem(n, k, bound)
 
 
 def _render_lp(p):
@@ -395,10 +360,9 @@ def _render_lp(p):
 
 
 _ONE_N = {0: 1}
-_QSQ1 = {2: 1, 0: -1}
-ZERO = RingElem({}, 0, 0, 3)
-ONE = RingElem({0: 1}, 0, 0, 0)
-MINUS_ONE = RingElem({0: -1}, 0, 0, 0)
+ZERO = RingElem({}, 0, 0)
+ONE = RingElem({0: 1}, 0, 0)
+MINUS_ONE = RingElem({0: -1}, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +390,7 @@ def qnum(const, lam=()):
             return -qnum(-key) if key else ZERO
         return RingElem({key - 1 - 2 * j: 1 for j in range(key)}, 0, key - 1)
     # (q^c Q - q^-c Q^-1)/(q - q^-1) = (q^{c+1} Q - q^{1-c} Q^-1)/(q^2 - 1)
-    return _canonical({key + 1: 1, 1 - key: -1}, 1, _fit(bound + 1), None)
+    return _canonical({key + 1: 1, 1 - key: -1}, 1, _fit(bound + 1))
 
 
 @lru_cache(maxsize=None)

@@ -915,6 +915,8 @@ def test_negative_degree_is_rejected():
         basis_monomials(CS, -1)
     with pytest.raises(ValueError):
         first_failure([(x(Z), OpExpr.zero(CS))], -1)
+    with pytest.raises(ValueError):
+        first_failure([], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ def _over(x, j):
     """x / (q - q^-1)^j, that is x q^j / (q^2 - 1)^j, built by hand: the
     ring itself never divides."""
     y = x * qpow(j)
-    return scalars._canonical(y._n, y._k + j, y._b, None)
+    return scalars._canonical(y._n, y._k + j, y._b)
 
 
 def _power(x, n):

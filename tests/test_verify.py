@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsuperalg import verify
+from qsuperalg import scalars, verify
 from qsuperalg.scalars import RingElem, qpow
 from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
 from qsuperalg.operators import OpExpr, graded_commutator, first_failure
@@ -175,6 +175,29 @@ def test_instances_after_the_failing_one_are_not_applied(monkeypatch):
     assert not any(op is lhs or op is rhs for op in applied)
 
 
+def _counted(monkeypatch, name):
+    """Count the calls of the private scalars function ``name``."""
+    calls = [0]
+    fn = getattr(scalars, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return fn(*args)
+    monkeypatch.setattr(scalars, name, counted)
+    return calls
+
+
+def test_cancellation_work_is_pinned(monkeypatch):
+    # the (q^2 - 1) divisions do not depend on how products are formed,
+    # and a classical run, every scalar over k = 0, scans no flag at all
+    divisions = _counted(monkeypatch, "_div_qsq1")
+    assert run_full(1, 1, degree=3, nmax=3).ok
+    assert divisions[0] == 850
+    scans = _counted(monkeypatch, "_flags")
+    assert run_full(1, 1, degree=3, nmax=3, variant="classical").ok
+    assert scans[0] == 0
+
+
 def test_suite_timings_are_recorded():
     report = run_full(1, 0, degree=2)
     assert all(s["millis"] >= 0 for s in report.suites)
@@ -222,6 +245,9 @@ def test_suites_reject_negative_degree():
     gens = build_quantum(build_root_data(1, 0))
     with pytest.raises(ValueError):
         check_cartan_relations(gens, -1)
+    # at (0,0) the aux suites state no instance, so no pair is read
+    with pytest.raises(ValueError):
+        check_aux(build_quantum(build_root_data(0, 0)), -1, 3)
 
 
 def test_nmax_below_one_is_rejected(monkeypatch):
