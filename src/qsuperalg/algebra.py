@@ -16,7 +16,8 @@ terms of the five reduction identities I43-I47, and each identity is one
 function returning its (triple-sum side, reduced side) pair: prop2 (and
 the classical variant) reads side 0, prop3 reads side 1.  The two sides
 are equal LinForms, so both variants print identical listings, and
-:func:`check_linform_identities` compares the very pairs the builders read.
+:func:`check_linform_identities` compares every pair the builders read
+and I47 at i = j, a_ii = nu_i + nu_{i+1}, which none reads.
 """
 
 from __future__ import annotations
@@ -93,12 +94,16 @@ class GeneratorSet:
         for l in range(1, data.K + 1):
             x = self.roots[l, l] = f[l]
             for m in range(l + 1, data.K + 1):
-                xi = qpow(-data.nu[m]) if self.quantum else None
-                x = self.roots[l, m] = graded_commutator(f[m], x, xi)
+                x = self.roots[l, m] = graded_commutator(
+                    f[m], x, self.twist(-data.nu[m]))
 
     @property
     def quantum(self):
         return self.variant != "classical"
+
+    def twist(self, k):
+        """The bracket twist q^k; None, the plain bracket, classically."""
+        return qpow(k) if self.quantum else None
 
     def t_inv(self, i):
         if not self.quantum:
@@ -266,8 +271,8 @@ def build_classical(data, weights=None):
 def check_linform_identities(data):
     """Verify the five reduction identities as LinForm equalities.
 
-    Compares the two sides of exactly the identities the prop3 builders
-    read.  Returns a dict id -> {"instances": n, "failures": [labels]}.
+    Compares the two sides of every instance the builders read and of
+    I47 at i = j.  Returns a dict id -> {"instances": n, "failures": [labels]}.
     """
     cs = CoordSystem(data.M, data.N)
     report = {}

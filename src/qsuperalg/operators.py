@@ -73,9 +73,9 @@ and u = m - r:
 
 A pair whose two sides have equal ``terms`` is not probed at all: equal
 coefficients and the same factors in the same order make the two sides
-one operator, which agrees with itself on every monomial.  Classically
-AuxC18 compares the bracket [f_i, X(j,i-1)] with the table's X(j,i), the
-node built as that same bracket.
+one operator, which agrees with itself on every monomial.  AuxQ41 at
+n = 1 (AuxC18 classically) compares [f_i, X(j,i-1)]_{q^-nu_i} with the
+table's X(j,i), the node built as that same bracket.
 
 A pair of one diagonal shape is decided by grading: it is shown to be
 one operator, on every monomial and so at every degree, without applying

@@ -133,8 +133,8 @@ def _nonzero(n):
 
 
 def _rational(c):
-    if isinstance(c, float):
-        raise TypeError("exact scalars take no float: %r" % c)
+    if isinstance(c, (float, bool)):
+        raise TypeError("exact scalars take no float or bool: %r" % c)
     if not isinstance(c, int):
         c = Fraction(c)
         if c.denominator == 1:

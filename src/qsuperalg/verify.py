@@ -34,28 +34,31 @@ decided by grading when x is homogeneous of grade k (see ``operators``):
 they then hold at every degree, not only up to the bound.  Every
 generator and root vector is homogeneous, so on a built set Q20, Q21, Q22
 and WeightConj (C1, C2, C3 and WeightConj classically) hold at all
-degrees, and so do Heis 53 and 54.
-A pair whose two sides are one sum of terms, such as classical AuxC18's
-[f_i, X(j,i-1)] against the table's X(j,i), is not probed either.
+degrees, and so do Heis 53 and 54.  A pair whose two sides are one sum
+of terms, such as AuxQ41 at n = 1 below, is not probed either.
 
-The quantum AuxQ41 is the power law f_i X^n = q^{-n nu_i} X^n f_i
-+ [n] X^{n-1} X(j,i) with X = X(j,i-1).  Its rhs is stated as X^{n-1} W,
-W = q^{-n nu_i} X f_i + [n] X(j,i) nested once, and for n = 1 as W's two
-flat terms.  Scalars are central, so X^{n-1} (a X f_i + [n] Y) =
-a X^n f_i + [n] X^{n-1} Y: it is the same operator, and every verdict
-and witness is that of the two-term rhs, for parsed and mutated sets too.
-The n - 1 copies of X then act once on W's merged image, not once per
-term.
+AuxQ41 (AuxC18 classically) at n = 1 is the table's own bracket: with
+X = X(j,i-1), [f_i, X]_{q^{-nu_i}} (plain classically) against X(j,i),
+two sides with equal terms, so it holds by construction.  f_i and X are
+never both odd (f_i is odd only at i = M+1, and X(j,M) is even), so it is
+f_i X = q^{-nu_i} X f_i + [1] X(j,i).  For an even X the quantum power
+law f_i X^n = q^{-n nu_i} X^n f_i + [n] X^{n-1} X(j,i) goes on for
+n = 2..nmax, its rhs stated as X^{n-1} W, W = q^{-n nu_i} X f_i
++ [n] X(j,i) nested once.  Scalars are central, so X^{n-1} (a X f_i
++ [n] Y) = a X^n f_i + [n] X^{n-1} Y: the same operator, for parsed and
+mutated sets too.  The n - 1 copies of X then act once on W's merged
+image, not once per term.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
-basis, which is exactly {1}.
+basis, which is exactly {1}.  lambda_i is one affine form, Qi or w_i,
+read as a q-power or, classically, as itself.
 """
 
 import json
 import time
 
-from .scalars import RingElem, qpow, qnum
+from .scalars import RingElem, qpow, qnum, lin
 from . import superpoly as sp
 from .operators import LinForm, OpExpr, graded_commutator, first_failure
 from .algebra import build_root_data, build_generators
@@ -110,16 +113,16 @@ _CLASSICAL_TAG = {"Q20": "C1", "Q21": "C2", "Q22": "C3", "Q23": "C4",
 class _Deformation:
     """The pieces in which a quantum relation differs from its q -> 1 form.
 
-    Each relation family is stated once against this object: a bracket
-    twist q^k becomes the plain bracket, an eigenvalue q^k becomes k, the
-    weight relations t_i x = q^k x t_i (and t_i x t_i^-1 = q^k x) become
-    h_i x = x (h_i + k), and bare t_i factors drop out.  Both variants
-    state t_i x = q^k x t_i as t_i x against x times the one elementary
-    factor of t_form[i] + k: q^{t_form[i] + k}, or {t_form[i] + k} for
-    h_i + k, since h_i is multiplication by t_form[i]; lhs - rhs is
-    [h_i, x] - k x, the bracket form, as an operator.  The quantum
-    t_i x t_i^-1 = q^k x is that same statement for x t_i^-1:
-    t_i (x t_i^-1) against (x t_i^-1) q^{t_form[i] + k}.
+    Each relation family is stated once against this object: the weight
+    relations t_i x = q^k x t_i (and t_i x t_i^-1 = q^k x) become
+    h_i x = x (h_i + k), and bare t_i factors drop out; the bracket twist
+    is the set's own ``twist``.  Both variants state t_i x = q^k x t_i as
+    t_i x against x times the one elementary factor of t_form[i] + k:
+    q^{t_form[i] + k}, or {t_form[i] + k} for h_i + k, since h_i is
+    multiplication by t_form[i]; lhs - rhs is [h_i, x] - k x, the bracket
+    form, as an operator.  The quantum t_i x t_i^-1 = q^k x is that same
+    statement for x t_i^-1: t_i (x t_i^-1) against (x t_i^-1)
+    q^{t_form[i] + k}.
     """
 
     def __init__(self, gens):
@@ -128,14 +131,6 @@ class _Deformation:
 
     def tag(self, quantum_tag):
         return quantum_tag if self.quantum else _CLASSICAL_TAG[quantum_tag]
-
-    def xi(self, k):
-        """Bracket twist q^k; None (the plain bracket) classically."""
-        return qpow(k) if self.quantum else None
-
-    def eig(self, k):
-        """Eigenvalue factor q^k; the rational k classically."""
-        return qpow(k) if self.quantum else RingElem.from_rational(k)
 
     def conj(self, i, x, k):
         """(lhs, rhs) of t_i x t_i^-1 = q^k x, stated as the weight
@@ -233,17 +228,17 @@ def check_serre(gens, degree):
                 for i in range(1, K + 1):
                     if i == j or abs(data.a(i, j)) != 1:
                         continue
-                    inner = graded_commutator(fam[j], fam[i], d.xi(-1))
+                    inner = graded_commutator(fam[j], fam[i], gens.twist(-1))
                     yield ("%s:j=%d,i=%d" % (name, j, i),
-                           graded_commutator(fam[j], inner, d.xi(1)),
+                           graded_commutator(fam[j], inner, gens.twist(1)),
                            OpExpr.zero(cs))
 
     def serre_odd():
         if data.M < 1 or data.N < 1:
             return
         for fam, name in fams:
-            inner = graded_commutator(fam[odd], fam[odd - 1], d.xi(-1))
-            mid = graded_commutator(fam[odd + 1], inner, d.xi(1))
+            inner = graded_commutator(fam[odd], fam[odd - 1], gens.twist(-1))
+            mid = graded_commutator(fam[odd + 1], inner, gens.twist(1))
             yield name, graded_commutator(fam[odd], mid), OpExpr.zero(cs)
 
     return [_run(d.tag("QSerreA"), degree, serre_a()),
@@ -285,35 +280,35 @@ def check_aux(gens, degree, nmax):
                        rhs.scale(RingElem.from_rational(-nu[i + 1])))
 
     def aux41():
-        # the quantum relation is a power law in X(j,i-1); its classical
-        # form is the single bracket that defines X(j,i)
+        # n = 1 is the table's own bracket (see the module docstring)
+        one = OpExpr.identity(cs)
         for i, j in below:
             base = X[(j, i - 1)]
-            if not d.quantum:
-                yield ("i=%d,j=%d" % (i, j),
-                       graded_commutator(gens.f[i], base), X[(j, i)])
+            yield ("i=%d,j=%d" % (i, j) + (",n=1" if d.quantum else ""),
+                   graded_commutator(gens.f[i], base, gens.twist(-nu[i])),
+                   X[(j, i)])
+            # powers of an odd root vector vanish, so the power law is only
+            # meaningful for even ones; classically there is none
+            if not d.quantum or base.parity():
                 continue
-            # powers of an odd root vector vanish, so the power law
-            # is only meaningful for even ones beyond n = 1
-            top = nmax if base.parity() == 0 else 1
             # X^n is the flat chain (X, ..., X) of n copies of the node, and
             # the rhs X^(n-1) W shares it (see the module docstring)
-            xn = one = OpExpr.identity(cs)
-            for n in range(1, top + 1):
+            xn = base
+            for n in range(2, nmax + 1):
                 prev, xn = xn, xn @ base
-                lhs = gens.f[i] @ xn
                 w = (base @ gens.f[i]).scale(qpow(-n * nu[i])) \
                     + (one @ X[(j, i)]).scale(qnum(n))
-                yield ("i=%d,j=%d,n=%d" % (i, j, n), lhs,
-                       w if n == 1 else prev @ w)
+                yield ("i=%d,j=%d,n=%d" % (i, j, n), gens.f[i] @ xn,
+                       prev @ w)
 
     def aux42():
         for i, j in below:
             yield ("f_i:i=%d,j=%d" % (i, j),
-                   graded_commutator(gens.f[i], X[(j, i)], d.xi(nu[i + 1])),
+                   graded_commutator(gens.f[i], X[(j, i)],
+                                     gens.twist(nu[i + 1])),
                    OpExpr.zero(cs))
             yield ("f_j:i=%d,j=%d" % (i, j),
-                   graded_commutator(gens.f[j], X[(j, i)], d.xi(-nu[j])),
+                   graded_commutator(gens.f[j], X[(j, i)], gens.twist(-nu[j])),
                    OpExpr.zero(cs))
             for k in range(j + 1, i):
                 yield ("f_k:i=%d,j=%d,k=%d" % (i, j, k),
@@ -378,21 +373,18 @@ def check_heisenberg(cs, degree):
 def check_highest_weight(gens):
     """e_i 1 = 0 and t_i 1 = q^{lambda_i} (h_i 1 = lambda_i classically),
     probed on the degree-0 basis {1}."""
-    d = _Deformation(gens)
     cs, K = gens.cs, gens.data.K
-    name = "t" if d.quantum else "h"
+    name, value = ("t", qpow) if gens.quantum else ("h", lin)
 
     def instances():
         for i in range(1, K + 1):
             yield "e_%d" % i, gens.e[i], OpExpr.zero(cs)
         for i in range(1, K + 1):
-            if gens.weights is None:
-                # the marker Qi: q^{lambda_i}, or lambda_i classically
-                expect = RingElem.monomial(0, ((i, 1),))
-            else:
-                expect = d.eig(gens.weights[i - 1])
+            # lambda_i as (constant, markers): the marker Qi, or w_i
+            form = ((0, ((i, 1),)) if gens.weights is None
+                    else (gens.weights[i - 1], ()))
             yield ("%s_%d" % (name, i), gens.t[i],
-                   OpExpr.identity(cs).scale(expect))
+                   OpExpr.identity(cs).scale(value(*form)))
 
     return [_run("HighestWeight", 0, instances())]
 

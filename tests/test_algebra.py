@@ -307,6 +307,33 @@ def test_prop2_and_prop3_are_one_construction(monkeypatch):
         assert not _same_structure(*_variant_pair(M, N)), (M, N)
 
 
+@pytest.mark.parametrize("MN", [(0, 0), (1, 1), (2, 1), (3, 3)],
+                         ids=["(0,0)", "(1,1)", "(2,1)", "(3,3)"])
+def test_identities_check_compares_every_pair_the_builders_read(monkeypatch,
+                                                                MN):
+    """Every I43-I47 instance that a builder reads, in each variant, is one
+    the identities check compares; the check compares I47 at i = j too,
+    which no builder reads."""
+    seen = []
+    for name in ("_i43", "_i44", "_i45", "_i46", "_i47"):
+        def recorded(data, cs, *args, name=name, orig=getattr(algebra, name)):
+            seen[-1].add((name, *args))
+            return orig(data, cs, *args)
+        monkeypatch.setattr(algebra, name, recorded)
+    data = build_root_data(*MN)
+    seen.append(set())
+    check_linform_identities(data)
+    variants = ("prop2", "prop3", "classical")
+    for variant in variants:
+        seen.append(set())
+        build_generators(data, None, variant)
+    compared, *reads = seen
+    for variant, read in zip(variants, reads):
+        assert read and read <= compared, variant
+    assert compared - set().union(*reads) == {
+        ("_i47", i, i) for i in range(1, data.K + 1)}
+
+
 def test_identities_check_i44_at_every_m_from_eta_reads(monkeypatch):
     # eta(i,j) reads I44 at m_from = j+1 > i+1; a wrong reduced side there
     # must make the check fail, not only the golden generator listings

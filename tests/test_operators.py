@@ -763,24 +763,28 @@ def test_auxq41_work_count(monkeypatch):
 def test_auxq41_with_a_wrong_q_number_fails_with_the_reference_witness(
         monkeypatch):
     """AuxQ41 at (1,1), nmax 3, with [n] replaced by [n+1] in every
-    instance, as a wrong power law would state it: the first instance
-    already fails, and the witness is the one the two-sided loop finds."""
+    power-law instance, as a wrong power law would state it: n = 1, the
+    table's own bracket, holds, the first power already fails, and the
+    witness is the one the two-sided loop finds."""
     monkeypatch.setattr(verify, "qnum", lambda n: qnum(n + 1))
     instances = _auxq41(monkeypatch)
     pairs = [(lhs, rhs) for _, lhs, rhs in instances]
     found = first_failure(pairs, 3)
-    assert found is not None and found[0] == 0
+    assert found is not None and found[0] == 1
+    assert instances[1][0] == "i=2,j=1,n=2"
     assert found == _reference_first_failure(pairs, 3)
 
 
 def test_auxq41_powers_are_flat_chains_of_the_table_node(monkeypatch):
-    """AuxQ41 at (2,1), nmax 3: with X = X(j,i-1), the table's own node,
-    the left side f_i X^n is the one term (f_i, X, ..., X) with n copies of
-    X.  The right side is X^(n-1) W, W's terms being (X, f_i) and
-    (X(j,i),): for n >= 2 the one term (X, ..., X, W) with n - 1 copies of
-    X, so that they act once on W's merged image, and for n = 1 W's two
-    terms themselves.  A power is a flat chain of the root-vector node,
-    not a node of its own."""
+    """AuxQ41 at (2,1), nmax 3, with X = X(j,i-1), the table's own node.
+    For n = 1 the pair is the bracket [f_i, X]_{q^-nu_i} against the
+    table's X(j,i), the node built as that bracket, so the two sides have
+    equal terms.  For n >= 2 the left side f_i X^n is the one term
+    (f_i, X, ..., X) with n copies of X, and the right side X^(n-1) W is
+    the one term (X, ..., X, W) with n - 1 copies of X, W's terms being
+    (X, f_i) and (X(j,i),), so that the copies act once on W's merged
+    image.  A power is a flat chain of the root-vector node, not a node of
+    its own."""
     gens = build_quantum(build_root_data(2, 1))
     nu = gens.data.nu
     instances = _suite_instances(monkeypatch, verify.check_aux, gens, 3,
@@ -789,21 +793,22 @@ def test_auxq41_powers_are_flat_chains_of_the_table_node(monkeypatch):
     for label, lhs, rhs in instances:
         i, j, n = (int(part.split("=")[1]) for part in label.split(","))
         X, f, Xji = gens.roots[j, i - 1], gens.f[i], gens.roots[j, i]
+        powers.add(n)
+        if n == 1:
+            assert rhs is Xji
+            assert lhs.terms == rhs.terms == graded_commutator(
+                f, X, qpow(-nu[i])).terms
+            continue
         (c, factors), = lhs.terms
         assert c.is_one() and len(factors) == n + 1 and factors[0] is f
         assert all(y is X for y in factors[1:])
-        if n == 1:
-            w = rhs
-        else:
-            (c, factors), = rhs.terms
-            assert c.is_one() and len(factors) == n
-            assert all(y is X for y in factors[:-1])
-            w = factors[-1]
-        (c1, left), (c2, right) = w.terms
+        (c, factors), = rhs.terms
+        assert c.is_one() and len(factors) == n
+        assert all(y is X for y in factors[:-1])
+        (c1, left), (c2, right) = factors[-1].terms
         assert c1 == qpow(-n * nu[i]) and c2 == qnum(n)
         assert len(left) == 2 and left[0] is X and left[1] is f
         assert right == (Xji,)
-        powers.add(n)
     assert powers == {1, 2, 3}
 
 
@@ -977,16 +982,23 @@ def test_sides_with_the_same_terms_in_another_order_are_probed(monkeypatch):
     assert a not in applied and b not in applied
 
 
-@pytest.mark.parametrize("MN", [(1, 1), (2, 1)], ids=["(1,1)", "(2,1)"])
-def test_classical_auxc18_applies_nothing(monkeypatch, MN):
-    """Classically AuxC18 compares [f_i, X(j,i-1)] with the table's X(j,i),
-    the node built as that same bracket."""
-    gens = build_classical(build_root_data(*MN))
-    instances = _suite_instances(monkeypatch, verify.check_aux, gens, 3,
-                                 3)["AuxC18"]
-    assert instances
+@pytest.mark.parametrize("MN,build", [
+    ((1, 1), build_classical), ((2, 1), build_classical),
+    ((1, 1), build_quantum), ((2, 1), build_quantum)],
+    ids=["(1,1)", "(2,1)", "(1,1)-quantum", "(2,1)-quantum"])
+def test_classical_auxc18_applies_nothing(monkeypatch, MN, build):
+    """AuxC18, and the n = 1 instances of the quantum AuxQ41, compare
+    [f_i, X(j,i-1)]_{q^-nu_i} (the plain bracket classically) with the
+    table's X(j,i), the node built as that same bracket."""
+    gens = build(build_root_data(*MN))
+    tag = "AuxQ41" if gens.quantum else "AuxC18"
+    instances = [inst for inst in _suite_instances(
+        monkeypatch, verify.check_aux, gens, 3, 3)[tag]
+        if not gens.quantum or inst[0].endswith(",n=1")]
+    K = gens.data.K
+    assert len(instances) == K * (K - 1) // 2
     applied = _record_applied(monkeypatch)
-    assert verify._run("AuxC18", 3, instances)["status"] == "pass"
+    assert verify._run(tag, 3, instances)["status"] == "pass"
     assert applied == []
 
 
@@ -1012,10 +1024,16 @@ def test_weight_relations_apply_nothing(monkeypatch, build):
 
 
 def test_every_quantum_auxq41_instance_is_probed(monkeypatch):
+    """Every power-law instance of AuxQ41 at (1,1), n >= 2, is probed
+    through its residual; n = 1 is the table's own bracket (see
+    test_classical_auxc18_applies_nothing)."""
     instances = _auxq41(monkeypatch)
     applied = _record_applied(monkeypatch)
     assert verify._run("AuxQ41", 3, instances)["status"] == "pass"
-    for label, lhs, rhs in instances:
+    powers = [inst for inst in instances if not inst[0].endswith(",n=1")]
+    assert [label for label, _, _ in powers] == ["i=2,j=1,n=2",
+                                                 "i=2,j=1,n=3"]
+    for label, lhs, rhs in powers:
         assert lhs.terms != rhs.terms, label
         assert _residual_applied(applied, lhs, rhs), label
 

@@ -198,8 +198,9 @@ def test_rational_scalars():
 
 
 def test_floats_are_refused():
-    # a float is not exact: 0.1 would become 3602879701896397/2^55
-    for c in (0.1, 0.5, 0.0):
+    # a float is not exact: 0.1 would become 3602879701896397/2^55; a bool
+    # equals 1 or 0, but would render as True
+    for c in (0.1, 0.5, 0.0, True, False):
         with pytest.raises(TypeError, match=repr(c)):
             RingElem.from_rational(c)
         with pytest.raises(TypeError, match=repr(c)):
