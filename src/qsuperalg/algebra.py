@@ -65,11 +65,15 @@ def build_root_data(M, N):
 class GeneratorSet:
     """One realization: maps i -> t_i (or h_i), e_i, f_i as operators.
 
-    ``t[i]`` is the single factor ``("qpow", t_form[i])``, and classically
-    h_i is multiplication by ``t_form[i]``, the single factor ``("lin",
-    t_form[i])``.  The relation suites rely on this: the quantum Cartan
-    side [e_i, f_i] is the q-number [t_form[i]], and the classical weight
-    relations are stated as h_i x = x {t_form[i] + k}.
+    ``t[i]`` is the single factor ``("qpow", t_form[i])``; classically it
+    is h_i, multiplication by ``t_form[i]``, the single factor ``("lin",
+    t_form[i])``.  The set states each piece in which a relation differs
+    from its q -> 1 form, and the relation suites read them: ``twist(k)``,
+    the bracket twist q^k; ``t_pow(i, s)``, t_i^s; ``t_shift(i, k)``,
+    t_i q^k, the factor q^{t_form[i] + k}; and ``cartan(i)``, the
+    q-number [t_form[i]].  At q -> 1 the twist is the plain bracket, t_i^s
+    is 1, t_i q^k is h_i + k, the factor {t_form[i] + k}, and [t_form[i]]
+    is h_i.
 
     ``roots`` maps (l, m) to the root vector X(l,m) for alpha_l + ... +
     alpha_m: X(l,l) = f_l and X(l,m) = [f_m, X(l,m-1)]_{q^{-nu_m}}, the
@@ -105,14 +109,27 @@ class GeneratorSet:
         """The bracket twist q^k; None, the plain bracket, classically."""
         return qpow(k) if self.quantum else None
 
-    def t_inv(self, i):
+    def t_pow(self, i, s):
+        """t_i^s, the factor q^{s t_form[i]}; 1 classically."""
         if not self.quantum:
-            raise ValueError("t_i^-1 only exists in the quantum variants")
-        return OpExpr.term(self.cs, (("qpow", -self.t_form[i]),))
+            return OpExpr.identity(self.cs)
+        return OpExpr.term(self.cs, (("qpow", self.t_form[i].scale(s)),))
+
+    def t_shift(self, i, k):
+        """t_i q^k, the factor q^{t_form[i] + k}; h_i + k classically."""
+        kind = "qpow" if self.quantum else "lin"
+        return OpExpr.term(self.cs, ((kind, self.t_form[i].shift(k)),))
+
+    def cartan(self, i):
+        """[t_form[i]], the q-number of t_i's exponent; h_i classically."""
+        if not self.quantum:
+            return self.t[i]
+        return OpExpr.term(self.cs, (("qnum", self.t_form[i]),))
 
 
-def _weight_form(i, weights):
-    """The (alpha_i|weight) contribution as a LinForm tail."""
+def weight_form(i, weights):
+    """lambda_i, the (alpha_i|weight) contribution, as a LinForm: the
+    marker Qi for symbolic weights, else the integer w_i."""
     if weights is None:
         return LinForm(None, 0, ((i, 1),))
     return LinForm(None, weights[i - 1])
@@ -211,7 +228,7 @@ def _e_terms(data, cs, i):
 def _f_terms(data, cs, i, side, weights):
     """f_i, its exponents read from side ``side`` of I43-I47."""
     nu = data.nu
-    w = _weight_form(i, weights)
+    w = weight_form(i, weights)
     row = _i44(data, cs, i, i + 1)[side]
     terms = []
     for j in range(1, i):
@@ -249,7 +266,7 @@ def build_generators(data, weights=None, variant="prop3"):
     q1, t_kind = (_at_q1, "lin") if variant == "classical" else (list, "qpow")
     t, e, f, t_form = {}, {}, {}, {}
     for i in range(1, data.K + 1):
-        t_form[i] = _weight_form(i, weights) - _i43(data, cs, i)[side]
+        t_form[i] = weight_form(i, weights) - _i43(data, cs, i)[side]
         t[i] = OpExpr.term(cs, ((t_kind, t_form[i]),))
         e[i] = OpExpr(cs, q1(_e_terms(data, cs, i)))
         f[i] = OpExpr(cs, q1(_f_terms(data, cs, i, side, weights)))

@@ -103,9 +103,7 @@ on both.  Every monomial of F's image of m comes from a path that
 survives, so the diagonal scalar is the same for all of them.  The rule
 reads l, k and F from the pair's own factors, so a parsed or a mutated
 set is judged on what it holds.  A pair of another shape, or whose F
-has two values in g(l, F) or none (F is zero), is probed.  A node keeps
-its set g(l, node) for each form's coordinate part once ``first_failure``
-first asks for it.
+has two values in g(l, F) or none (F is zero), is probed.
 
 A node's memo is an (images, pool) pair, made on the node's first nested
 visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
@@ -255,7 +253,7 @@ class OpExpr:
     for deeply nested commutators.
     """
 
-    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo", "_grades")
+    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo")
 
     def __init__(self, cs, terms):
         self.cs = cs
@@ -263,7 +261,6 @@ class OpExpr:
         self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
         self._mask = _support(self.terms)
         self._memo = None   # (images, pool), once the node is nested
-        self._grades = None  # form's coordinates -> g(form, node), on use
 
     # -- constructors -------------------------------------------------------
 
@@ -335,18 +332,6 @@ class OpExpr:
             elif par != p:
                 raise MixedParity("terms of mixed parity in one expression")
         return 0 if par is None else par
-
-    def _values(self, form):
-        """g(form, self): the values of the form's coordinate part on the
-        exponent steps of the node's term paths (see the module
-        docstring), kept per coordinate part."""
-        if self._grades is None:
-            self._grades = {}
-        vals = self._grades.get(form._fields)
-        if vals is None:
-            vals = self._grades[form._fields] = frozenset().union(
-                *(_path_values(ops, form) for _, ops in self.terms))
-        return vals
 
     # -- action -------------------------------------------------------------
 
@@ -460,11 +445,14 @@ def _support(terms):
 def _path_values(factors, form):
     """g(form, F) of the product F of ``factors``: each path's value is the
     sum of its factors' values, an elementary factor's being its step
-    times the form's coefficient at its coordinate."""
+    times the form's coefficient at its coordinate, a nested node's
+    those of its terms' paths."""
     vals = {0}
     for op in factors:
         if isinstance(op, OpExpr):
-            vals = {a + b for a in vals for b in op._values(form)}
+            node = set().union(*(_path_values(ops, form)
+                                 for _, ops in op.terms))
+            vals = {a + b for a in vals for b in node}
         elif ELEMENTARY[op[0]].step:
             v = ELEMENTARY[op[0]].step * form.coeffs.get(op[1], 0)
             vals = {a + v for a in vals}

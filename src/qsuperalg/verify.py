@@ -20,13 +20,22 @@ before.  The suites read the root vectors from the set's one table
 (``gens.roots``), whose X(l,m) is built on the very X(l,m-1) node, so
 these shared nodes are the same objects in every suite.
 
+Each relation family is stated once, for both variants, through the
+set's own pieces (see ``algebra.GeneratorSet``): the bracket twist, t_i^s
+(``t_pow``), t_i q^k (``t_shift``) and [t_form[i]] (``cartan``), which
+at q -> 1 are the plain bracket, 1, h_i + k and h_i.  Only the suite
+tags, AuxQ41's power law and HighestWeight's label t or h tell the two
+variants apart.  Classically t_i^s is the identity, so AuxQ39's rhs
+nu_i X t_i, X = X(j,i-1), is nu_i times the node X nested once, and
+AuxQ40's likewise.
+
 The weight relations t_i x = q^k x t_i are stated as t_i x against
-x q^{t_form[i] + k}; classically [h_i, x] = k x is stated as
-h_i x = x (h_i + k), the q -> 1 form, with h_i + k one elementary factor,
-and lhs - rhs is the same operator [h_i, x] - k x, so every verdict and
-witness is that of the bracket form.  The quantum t_i x t_i^-1 = q^k x
-(Q21, Q22) is the weight relation of x t_i^-1: t_i (x t_i^-1) against
-(x t_i^-1) q^{t_form[i] + k}.  On a monomial m that rhs multiplies by
+x t_i q^k, the factor q^{t_form[i] + k}; classically [h_i, x] = k x is
+h_i x = x (h_i + k), with h_i + k one elementary factor, and lhs - rhs is
+the same operator [h_i, x] - k x, so every verdict and witness is that of
+the bracket form.  t_i x t_i^-1 = q^k x (Q21, Q22) is the weight relation
+of x t_i^-1, which is x classically: t_i (x t_i^-1) against (x t_i^-1)
+q^{t_form[i] + k}.  On a monomial m that rhs multiplies by
 q^{l(m)+k} q^{-l(m)} = q^k, l = t_form[i], before x acts, so it is the
 operator q^k x: lhs - rhs is t_i x t_i^-1 - q^k x, and every verdict and
 witness is that of the rhs q^k x.  Such a pair and Heis 53 and 54 are
@@ -51,8 +60,8 @@ image, not once per term.
 
 HighestWeight is the same loop at degree 0: its instances e_i = 0 and
 t_i = q^{lambda_i} (h_i = lambda_i classically) are probed on the degree-0
-basis, which is exactly {1}.  lambda_i is one affine form, Qi or w_i,
-read as a q-power or, classically, as itself.
+basis, which is exactly {1}.  lambda_i is ``algebra.weight_form``, Qi or
+w_i, read as a q-power or, classically, as itself.
 """
 
 import json
@@ -61,7 +70,7 @@ import time
 from .scalars import RingElem, qpow, qnum, lin
 from . import superpoly as sp
 from .operators import LinForm, OpExpr, graded_commutator, first_failure
-from .algebra import build_root_data, build_generators
+from .algebra import build_root_data, build_generators, weight_form
 
 
 class VerificationReport:
@@ -110,58 +119,14 @@ _CLASSICAL_TAG = {"Q20": "C1", "Q21": "C2", "Q22": "C3", "Q23": "C4",
                   "AuxQ41": "AuxC18", "AuxQ42": "AuxC19"}
 
 
-class _Deformation:
-    """The pieces in which a quantum relation differs from its q -> 1 form.
+def _tag(gens, quantum_tag):
+    return quantum_tag if gens.quantum else _CLASSICAL_TAG[quantum_tag]
 
-    Each relation family is stated once against this object: the weight
-    relations t_i x = q^k x t_i (and t_i x t_i^-1 = q^k x) become
-    h_i x = x (h_i + k), and bare t_i factors drop out; the bracket twist
-    is the set's own ``twist``.  Both variants state t_i x = q^k x t_i as
-    t_i x against x times the one elementary factor of t_form[i] + k:
-    q^{t_form[i] + k}, or {t_form[i] + k} for h_i + k, since h_i is
-    multiplication by t_form[i]; lhs - rhs is [h_i, x] - k x, the bracket
-    form, as an operator.  The quantum t_i x t_i^-1 = q^k x is that same
-    statement for x t_i^-1: t_i (x t_i^-1) against (x t_i^-1)
-    q^{t_form[i] + k}.
-    """
 
-    def __init__(self, gens):
-        self.gens = gens
-        self.quantum = gens.quantum
-
-    def tag(self, quantum_tag):
-        return quantum_tag if self.quantum else _CLASSICAL_TAG[quantum_tag]
-
-    def conj(self, i, x, k):
-        """(lhs, rhs) of t_i x t_i^-1 = q^k x, stated as the weight
-        relation of y = x t_i^-1, t_i y against y q^{t_form[i] + k}, whose
-        rhs is the operator q^k x (see the module docstring); classically
-        h_i x = x (h_i + k), whose lhs - rhs is [h_i, x] - k x."""
-        return self.weight(i, x @ self.gens.t_inv(i) if self.quantum else x,
-                           k)
-
-    def weight(self, i, x, k):
-        """(lhs, rhs) of t_i x = q^k x t_i, stated as t_i x against
-        x q^{t_form[i] + k}, since q^k q^{l(m)} = q^{l(m)+k}; of
-        h_i x = x (h_i + k) classically, whose lhs - rhs is
-        [h_i, x] - k x."""
-        kind = "qpow" if self.quantum else "lin"
-        shifted = ((kind, self.gens.t_form[i].shift(k)),)
-        return self.gens.t[i] @ x, x @ OpExpr.term(self.gens.cs, shifted)
-
-    def t_right(self, x, i):
-        """x t_i; x classically."""
-        return x.compose(self.gens.t[i]) if self.quantum else x
-
-    def t_inv_left(self, i, x):
-        """t_i^-1 x; x classically."""
-        return self.gens.t_inv(i).compose(x) if self.quantum else x
-
-    def cartan(self, i):
-        """[e_i, f_i] = [t-exponent of t_i] as a q-number; h_i classically."""
-        if self.quantum:
-            return OpExpr.term(self.gens.cs, (("qnum", self.gens.t_form[i]),))
-        return self.gens.t[i]
+def _weight(gens, i, x, k):
+    """(lhs, rhs) of t_i x = q^k x t_i, stated as t_i x against x t_i q^k
+    (h_i x = x (h_i + k) classically; see the module docstring)."""
+    return gens.t[i] @ x, x @ gens.t_shift(i, k)
 
 
 def _run(tag, degree, instances):
@@ -191,20 +156,21 @@ def _run(tag, degree, instances):
 # ---------------------------------------------------------------------------
 
 def check_cartan_relations(gens, degree):
-    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     pairs = [(i, j) for i in range(1, data.K + 1)
              for j in range(1, data.K + 1)]
-    results = [_run(d.tag("Q20"), degree, (
-        ("i=%d,j=%d" % (i, j), *d.weight(i, gens.t[j], 0))
+    results = [_run(_tag(gens, "Q20"), degree, (
+        ("i=%d,j=%d" % (i, j), *_weight(gens, i, gens.t[j], 0))
         for i, j in pairs if i < j))]
+    # t_i x t_i^-1 = q^k x as the weight relation of x t_i^-1
     for tag, fam, sgn in (("Q21", gens.e, 1), ("Q22", gens.f, -1)):
-        results.append(_run(d.tag(tag), degree, (
-            ("i=%d,j=%d" % (i, j), *d.conj(i, fam[j], sgn * data.a(i, j)))
+        results.append(_run(_tag(gens, tag), degree, (
+            ("i=%d,j=%d" % (i, j), *_weight(
+                gens, i, fam[j] @ gens.t_pow(i, -1), sgn * data.a(i, j)))
             for i, j in pairs)))
-    results.append(_run(d.tag("Q23"), degree, (
+    results.append(_run(_tag(gens, "Q23"), degree, (
         ("i=%d,j=%d" % (i, j), graded_commutator(gens.e[i], gens.f[j]),
-         d.cartan(i) if i == j else OpExpr.zero(cs))
+         gens.cartan(i) if i == j else OpExpr.zero(cs))
         for i, j in pairs)))
     return results
 
@@ -214,7 +180,6 @@ def check_cartan_relations(gens, degree):
 # ---------------------------------------------------------------------------
 
 def check_serre(gens, degree):
-    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     K = data.K
     odd = data.M + 1
@@ -241,8 +206,8 @@ def check_serre(gens, degree):
             mid = graded_commutator(fam[odd + 1], inner, gens.twist(1))
             yield name, graded_commutator(fam[odd], mid), OpExpr.zero(cs)
 
-    return [_run(d.tag("QSerreA"), degree, serre_a()),
-            _run(d.tag("QSerreOdd"), degree, serre_odd()),
+    return [_run(_tag(gens, "QSerreA"), degree, serre_a()),
+            _run(_tag(gens, "QSerreOdd"), degree, serre_odd()),
             # nilpotency of the odd generators; implicit in the Z2 grading
             # and reported apart so a failure cannot pass for a Serre one
             _run("OddNil", degree,
@@ -257,7 +222,6 @@ def check_serre(gens, degree):
 def check_aux(gens, degree, nmax):
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    d = _Deformation(gens)
     data, cs = gens.data, gens.cs
     K = data.K
     nu = data.nu
@@ -266,7 +230,7 @@ def check_aux(gens, degree, nmax):
 
     def aux39():
         for i, j in below:
-            rhs = d.t_right(X[(j, i - 1)], i)
+            rhs = X[(j, i - 1)] @ gens.t_pow(i, 1)
             yield ("i=%d,j=%d" % (i, j),
                    graded_commutator(gens.e[i], X[(j, i)]),
                    rhs.scale(RingElem.from_rational(nu[i])))
@@ -274,7 +238,7 @@ def check_aux(gens, degree, nmax):
     def aux40():
         for i in range(1, K + 1):
             for j in range(i + 1, K + 1):
-                rhs = d.t_inv_left(i, X[(i + 1, j)])
+                rhs = gens.t_pow(i, -1) @ X[(i + 1, j)]
                 yield ("i=%d,j=%d" % (i, j),
                        graded_commutator(gens.e[i], X[(i, j)]),
                        rhs.scale(RingElem.from_rational(-nu[i + 1])))
@@ -284,12 +248,12 @@ def check_aux(gens, degree, nmax):
         one = OpExpr.identity(cs)
         for i, j in below:
             base = X[(j, i - 1)]
-            yield ("i=%d,j=%d" % (i, j) + (",n=1" if d.quantum else ""),
+            yield ("i=%d,j=%d" % (i, j) + (",n=1" if gens.quantum else ""),
                    graded_commutator(gens.f[i], base, gens.twist(-nu[i])),
                    X[(j, i)])
             # powers of an odd root vector vanish, so the power law is only
             # meaningful for even ones; classically there is none
-            if not d.quantum or base.parity():
+            if not gens.quantum or base.parity():
                 continue
             # X^n is the flat chain (X, ..., X) of n copies of the node, and
             # the rhs X^(n-1) W shares it (see the module docstring)
@@ -315,10 +279,10 @@ def check_aux(gens, degree, nmax):
                        graded_commutator(gens.f[k], X[(j, i)]),
                        OpExpr.zero(cs))
 
-    return [_run(d.tag("AuxQ39"), degree, aux39()),
-            _run(d.tag("AuxQ40"), degree, aux40()),
-            _run(d.tag("AuxQ41"), degree, aux41()),
-            _run(d.tag("AuxQ42"), degree, aux42())]
+    return [_run(_tag(gens, "AuxQ39"), degree, aux39()),
+            _run(_tag(gens, "AuxQ40"), degree, aux40()),
+            _run(_tag(gens, "AuxQ41"), degree, aux41()),
+            _run(_tag(gens, "AuxQ42"), degree, aux42())]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +290,6 @@ def check_aux(gens, degree, nmax):
 # ---------------------------------------------------------------------------
 
 def check_weight_conjugation(gens, degree):
-    d = _Deformation(gens)
     data = gens.data
     K = data.K
     X = gens.roots
@@ -336,7 +299,7 @@ def check_weight_conjugation(gens, degree):
             for l in range(1, K + 1):
                 for m in range(l, K + 1):
                     yield ("i=%d,l=%d,m=%d" % (i, l, m),
-                           *d.weight(i, X[(l, m)], -data.a_sum(i, l, m)))
+                           *_weight(gens, i, X[(l, m)], -data.a_sum(i, l, m)))
 
     return [_run("WeightConj", degree, instances())]
 
@@ -380,11 +343,9 @@ def check_highest_weight(gens):
         for i in range(1, K + 1):
             yield "e_%d" % i, gens.e[i], OpExpr.zero(cs)
         for i in range(1, K + 1):
-            # lambda_i as (constant, markers): the marker Qi, or w_i
-            form = ((0, ((i, 1),)) if gens.weights is None
-                    else (gens.weights[i - 1], ()))
+            form = weight_form(i, gens.weights)
             yield ("%s_%d" % (name, i), gens.t[i],
-                   OpExpr.identity(cs).scale(value(*form)))
+                   OpExpr.identity(cs).scale(value(form.const, form.lam)))
 
     return [_run("HighestWeight", 0, instances())]
 

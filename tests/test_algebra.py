@@ -103,13 +103,27 @@ def test_classical_h_is_multiplication_by_its_form(MN):
             assert gens.t[i].terms == ((ONE, (("lin", gens.t_form[i]),)),)
 
 
-def test_t_inverse():
-    gens = build_quantum(build_root_data(1, 1))
+@pytest.mark.parametrize("build", [build_quantum, build_classical],
+                         ids=["quantum", "classical"])
+def test_t_pow_t_shift_and_cartan(build):
+    """The set's q -> 1 pieces at (1,1): t_i^s t_i^-s agrees with 1, and
+    t_i q^0 is t_i; quantum, t_i^1 is t_i and cartan(i) the q-number
+    [t_form[i]]; classically t_i^s is 1 and cartan(i) is h_i."""
+    gens = build(build_root_data(1, 1))
+    one = OpExpr.identity(gens.cs)
     for i in (1, 2, 3):
-        prod = gens.t[i] @ gens.t_inv(i)
-        assert first_failure([(prod, OpExpr.identity(gens.cs))], 3) is None
-    with pytest.raises(ValueError):
-        build_classical(build_root_data(1, 0)).t_inv(1)
+        assert gens.t_shift(i, 0).terms == gens.t[i].terms
+        for s in (1, 2):
+            prod = gens.t_pow(i, s) @ gens.t_pow(i, -s)
+            assert first_failure([(prod, one)], 3) is None
+        if gens.quantum:
+            assert gens.t_pow(i, 1).terms == gens.t[i].terms
+            assert gens.cartan(i).terms == (
+                (ONE, (("qnum", gens.t_form[i]),)),)
+        else:
+            assert gens.t_pow(i, 1).terms == one.terms
+            assert gens.t_pow(i, -1).terms == one.terms
+            assert gens.cartan(i) is gens.t[i]
 
 
 def test_variant_validation():
