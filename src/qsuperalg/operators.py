@@ -11,7 +11,7 @@ which evaluation, parity, printing and the classical generators read.
 No normal ordering is ever performed: expressions stay in the order they
 were written, and equality of operators is extensional (action on a
 degree-bounded monomial basis), but for the pairs decided below for every
-monomial.
+monomial, by their terms, by grading or by differential order.
 
 The same nested node (a root vector, a generator inside every bracket) is
 reached many times, within one operator, across every instance of a
@@ -105,6 +105,47 @@ reads l, k and F from the pair's own factors, so a parsed or a mutated
 set is judged on what it holds.  A pair of another shape, or whose F
 has two values in g(l, F) or none (F is zero), is probed.
 
+A pair of operators of bounded differential order is decided at low
+degree.  A (parity-homogeneous) operator A has order <= s when the
+graded commutator [A, x_p] has order <= s - 1 for every coordinate p,
+order <= -1 meaning A = 0; an inhomogeneous one when each parity part
+does.  Products add orders, sums take their max, and a graded bracket
+[A, B] of homogeneous A and B has order <= ord A + ord B - 1.  The lemma:
+an operator A of order <= s that kills every monomial of degree <= s is
+zero.  By induction on s, s = -1 being A = 0: a monomial's images under
+A's two parity parts have different parities, so each part kills those
+monomials and we take A homogeneous; then [A, x_p] = A x_p -+ x_p A kills
+every monomial m of degree <= s - 1, since x_p m has degree <= s, and has
+order <= s - 1, so it is zero; A supercommutes with every x_p, and
+A m = +-m A(1) = 0 for every monomial m.
+
+Each node carries an order bound, computed once when it is built (the
+``order`` column of ``ELEMENTARY``):
+
+  * x, and a form that reads no coordinate (a scalar): 0;
+  * d, D at an odd position (the Grassmann derivative) and lin of a form
+    that reads a coordinate (a sum of Euler operators x_p d_p and a
+    scalar): 1;
+  * D at an even position and qpow or qnum of a form that reads a
+    coordinate, q-difference operators: unbounded (inf);
+  * a product: the sum of its factors' bounds, inf as soon as one is; a
+    sum: the max of its terms', -1 for the zero operator;
+  * a node of two terms (c, A B) + (-(-1)^{|A||B|} c, B A), A and B
+    nested nodes or the factor runs ``compose`` flattened, is c [A, B]:
+    ord A + ord B - 1.  A rotation with another coefficient (an even
+    a b + b a) is no bracket, and a run of mixed parity gets no lowering.
+
+So ``first_failure`` probes a pair whose sides have bounds s_a and s_b
+only on the basis monomials of degree <= min(degree, max(s_a, s_b)),
+inside its joint support: lhs - rhs has order <= s = max(s_a, s_b), so
+if it kills those monomials it is zero and the pair holds at every
+degree, and if it does not, its first failing monomial in the graded
+order, the witness, has degree <= s and is the one the probe finds.
+Classically every e_i, f_i, h_i and
+root vector has bound 1, so a bracket of them is probed at degree <= 1;
+every quantum generator has a q-difference and is unbounded, and its
+pairs are probed up to ``degree``.
+
 A node's memo is an (images, pool) pair, made on the node's first nested
 visit: ``images`` maps r to the image as a flat (m, c, m, c, ...) tuple,
 and every monomial and coefficient stored is taken from ``pool``, so a
@@ -131,6 +172,7 @@ a unit coefficient costs no arithmetic, and a memoised image scaled by
 from __future__ import annotations
 
 from collections import namedtuple
+from math import inf
 
 from .scalars import ONE, MINUS_ONE, qpow, qnum, lin, sum_of_products
 from . import superpoly as sp
@@ -138,15 +180,16 @@ from . import superpoly as sp
 
 # Per kind: the exponent step (+-1 at a coordinate, 0 for a form), the
 # scalar multiplied in (a derivative's factor on the old exponent n, or the
-# form's value), the printed form, and the kind at q = 1 (a q-power is 1)
-Elementary = namedtuple("Elementary", "step factor form q1")
+# form's value), the printed form, the kind at q = 1 (a q-power is 1), and
+# the differential order bound (see the module docstring)
+Elementary = namedtuple("Elementary", "step factor form q1 order")
 ELEMENTARY = {
-    "x": Elementary(1, None, "x(%d,%d)", "x"),  # times x, with Koszul sign
-    "D": Elementary(-1, qnum, "D(%d,%d)", "d"),  # q-difference / Grassmann d
-    "d": Elementary(-1, lin, "d(%d,%d)", "d"),  # classical x^n -> n x^(n-1)
-    "qpow": Elementary(0, qpow, "q^{%s}", None),  # times q^{form}
-    "qnum": Elementary(0, qnum, "[%s]", "lin"),  # times the q-number [form]
-    "lin": Elementary(0, lin, "{%s}", "lin"),  # times the form's value
+    "x": Elementary(1, None, "x(%d,%d)", "x", 0),  # times x, Koszul sign
+    "D": Elementary(-1, qnum, "D(%d,%d)", "d", inf),  # q-diff. / Grassmann d
+    "d": Elementary(-1, lin, "d(%d,%d)", "d", 1),  # x^n -> n x^(n-1)
+    "qpow": Elementary(0, qpow, "q^{%s}", None, inf),  # times q^{form}
+    "qnum": Elementary(0, qnum, "[%s]", "lin", inf),  # times [form]
+    "lin": Elementary(0, lin, "{%s}", "lin", 1),  # times the form's value
 }
 
 
@@ -253,13 +296,14 @@ class OpExpr:
     for deeply nested commutators.
     """
 
-    __slots__ = ("cs", "terms", "_plan", "_mask", "_memo")
+    __slots__ = ("cs", "terms", "_plan", "_mask", "_order", "_memo")
 
     def __init__(self, cs, terms):
         self.cs = cs
         self.terms = tuple((c, ops) for c, ops in terms if not c.is_zero())
         self._plan = tuple((c, _steps(ops)) for c, ops in self.terms)
         self._mask = _support(self.terms)
+        self._order = _order(cs, self.terms)
         self._memo = None   # (images, pool), once the node is nested
 
     # -- constructors -------------------------------------------------------
@@ -320,13 +364,7 @@ class OpExpr:
         """Common Z2 parity of all terms (0 for the empty expression)."""
         par = None
         for _, ops in self.terms:
-            p = 0
-            for op in ops:
-                if isinstance(op, OpExpr):
-                    p += op.parity()
-                elif ELEMENTARY[op[0]].step and self.cs.odd[op[1]]:
-                    p += 1
-            p &= 1
+            p = _run_parity(self.cs, ops)
             if par is None:
                 par = p
             elif par != p:
@@ -440,6 +478,63 @@ def _support(terms):
                 for shift, _ in op[1]._fields:
                     mask |= sp.FIELD_TOP << shift
     return mask
+
+
+def _run_parity(cs, ops):
+    """The Z2 parity of the product of ``ops``; a nested node of mixed
+    parity raises ``MixedParity``."""
+    p = 0
+    for op in ops:
+        if isinstance(op, OpExpr):
+            p += op.parity()
+        elif ELEMENTARY[op[0]].step and cs.odd[op[1]]:
+            p += 1
+    return p & 1
+
+
+def _run_order(cs, ops):
+    """The order bound of the product of ``ops``: the sum of its factors',
+    ``inf`` as soon as one factor is unbounded."""
+    s = 0
+    for op in ops:
+        if isinstance(op, OpExpr):
+            s += op._order
+        else:
+            kind, arg = op
+            if ELEMENTARY[kind].step:
+                # at an odd position D is the Grassmann derivative
+                s += 1 if kind == "D" and cs.odd[arg] \
+                    else ELEMENTARY[kind].order
+            elif arg.coeffs:    # a form that reads no coordinate is a scalar
+                s += ELEMENTARY[kind].order
+        if s == inf:
+            break
+    return s
+
+
+def _order(cs, terms):
+    """The order bound of a sum of terms: the max of its terms', -1 for
+    the zero operator, lowered to ord A + ord B - 1 for a graded bracket
+    (c, A B) + (-(-1)^{|A||B|} c, B A), A and B nested nodes or factor
+    runs (see the module docstring)."""
+    bound = -1
+    for _, ops in terms:
+        bound = max(bound, _run_order(cs, ops))
+        if bound == inf:
+            return inf
+    if len(terms) == 2:
+        (c, ops), (c2, ops2) = terms
+        for k in range(1, len(ops)):
+            a, b = ops[:k], ops[k:]
+            if ops2 != b + a:
+                continue
+            try:
+                both_odd = _run_parity(cs, a) & _run_parity(cs, b)
+            except MixedParity:
+                continue    # no graded bracket: no lowering
+            if c2 == (c if both_odd else -c):
+                bound = min(bound, _run_order(cs, a) + _run_order(cs, b) - 1)
+    return bound
 
 
 def _path_values(factors, form):
@@ -601,19 +696,28 @@ def first_failure(pairs, degree):
     Any other pair is probed by one application of its residual lhs - rhs
     per monomial, only on the monomials inside its joint support, since
     its verdict anywhere else is that of a monomial it was probed on
-    before; a nonempty image is the residual (see the module docstring).
+    before, and only up to the larger of its sides' order bounds, past
+    which a residual that vanishes below vanishes everywhere; a nonempty
+    image is the residual (see the module docstring).
     A negative degree raises ``ValueError`` before any pair is read.
     """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    first = None
+    first, bases = None, {}
     for k, (a, b) in enumerate(pairs):
         if first is None:
-            first, basis = a, tuple(basis_monomials(a.cs, degree))
+            first = a
         first._check(a)
         a._check(b)
         if a.terms == b.terms or _graded(a, b):
             continue    # one operator: the pair holds everywhere
+        cap = min(degree, max(a._order, b._order))
+        if cap < 0:
+            continue    # both sides are zero
+        # the basis of degree <= cap, a prefix of the graded basis
+        basis = bases.get(cap)
+        if basis is None:
+            basis = bases[cap] = tuple(basis_monomials(a.cs, cap))
         residual = a - b
         joint = residual._mask      # a._mask | b._mask
         for mono in basis:

@@ -16,7 +16,9 @@ q - 1 and q + 1 are coprime primes of Q[q^+-1, Q^+-1], so (q^2 - 1)
 divides num exactly when num vanishes at q = 1 and at q = -1 in every
 marker group.  ``_canonical`` scans a result with k > 0 for those two
 flags once, and again after each division by (q^2 - 1); it never scans a
-k = 0 result, so every classical scalar goes unscanned.
+k = 0 result, so every classical scalar goes unscanned.  A product of a
+unit, one term, and a factor (q^2 - 1) does not divide, one with k > 0 or
+a unit too, is canonical as it stands and is not scanned either.
 
 A monomial q^e0 Q1^e1 Q2^e2 ... is keyed by the int e0 + e1 B + e2 B^2 + ...
 with B = 2^16 and every |ei| <= LIMIT (Kronecker substitution, balanced
@@ -328,7 +330,23 @@ def sum_of_products(terms):
             bound = b
         for key, c in _lift(acc, d).items():
             n[key] = get(key, 0) + c
+    if len(terms) == 1:
+        (a, b, _), = terms
+        if _unit_times_indivisible(a, b):
+            return RingElem(n, top, bound)
     return _canonical(_nonzero(n), top, bound)
+
+
+def _unit_times_indivisible(a, b):
+    """Whether the product a*b (b None for 1) is canonical as it stands:
+    one factor's numerator is a single term, a unit, and (q^2 - 1) does
+    not divide the other's, which is canonical with k > 0 or a unit too.
+    A unit times a numerator (q^2 - 1) does not divide is one it does not
+    divide, and a unit factor cancels no coefficient."""
+    if b is None:
+        return False
+    na, nb = len(a._n), len(b._n)
+    return na == 1 and (nb == 1 or b._k) or nb == 1 and a._k
 
 
 def _canonical(n, k, bound):

@@ -46,6 +46,18 @@ and WeightConj (C1, C2, C3 and WeightConj classically) hold at all
 degrees, and so do Heis 53 and 54.  A pair whose two sides are one sum
 of terms, such as AuxQ41 at n = 1 below, is not probed either.
 
+The differential order bound (see ``operators``) decides the rest of the
+classical suites from low degrees.  Every classical e_i, f_i, h_i and
+root vector has order 1, and so does every bracket of them, so C4,
+CSerreA, CSerreOdd, AuxC16, AuxC17 and AuxC19 are probed at degree <= 1
+and, when they pass, hold at every degree; OddNil (e_{M+1}^2 and
+f_{M+1}^2, order 2) is probed at degree <= 2; Heis 56, D th + th D = 1
+on an odd coordinate, is a bracket of order 0 and is probed on the
+monomial 1 alone, in both variants.  A failing suite keeps the witness of
+the probe up to ``degree``.  Every quantum generator holds a
+q-difference, which has no finite order, so every quantum pair but Heis
+56 is probed up to ``degree``, and so is Heis 55 in both variants.
+
 AuxQ41 (AuxC18 classically) at n = 1 is the table's own bracket: with
 X = X(j,i-1), [f_i, X]_{q^{-nu_i}} (plain classically) against X(j,i),
 two sides with equal terms, so it holds by construction.  f_i and X are

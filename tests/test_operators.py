@@ -6,6 +6,7 @@ import gc
 import sys
 import types
 from fractions import Fraction
+from math import inf
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -550,16 +551,64 @@ def _overlapping_pairs(cs):
     return pair()
 
 
+def _first_order(cs):
+    """Classical operators of one parity and order <= 1: sums of one to
+    three scaled terms, each up to two x factors before at most one x, d
+    or lin factor."""
+    coords = st.sampled_from(range(cs.ncoords))
+    last = st.one_of(st.tuples(st.sampled_from(("x", "d")), coords),
+                     st.tuples(st.just("lin"), _forms(cs)))
+    term = st.builds(lambda xs, tail: tuple(("x", p) for p in xs) + tail,
+                     st.lists(coords, max_size=2),
+                     st.one_of(st.just(()), last.map(lambda op: (op,))))
+    scalars = st.sampled_from((ONE, MINUS_ONE, RingElem.from_rational(2),
+                               RingElem.from_rational(Fraction(1, 2)),
+                               qpow(0, ((1, 1),))))
+
+    def homogeneous(terms):
+        par = OpExpr.term(cs, terms[0][1]).parity()
+        return OpExpr(cs, [(c, ops) for c, ops in terms
+                           if OpExpr.term(cs, ops).parity() == par])
+    return st.lists(st.tuples(scalars, term), min_size=1,
+                    max_size=3).map(homogeneous)
+
+
+def _first_order_pairs(cs):
+    """Pairs whose sides have a finite order bound, which caps the probe:
+    a bracket [a, b] of first-order operators, nested or flattened by
+    ``compose``, against its multiplied-out form, another first-order
+    operator, another bracket or a bracket nested once more, products
+    a b against b a, and a b + b a, a graded bracket only when a and b
+    are both odd, against zero or another first-order operator."""
+    ops = _first_order(cs)
+    zero = OpExpr.zero(cs)
+
+    @st.composite
+    def pair(draw):
+        a, b, c = draw(ops), draw(ops), draw(ops)
+        ab = graded_commutator(a, b)
+        sign = ONE if a.parity() and b.parity() else MINUS_ONE
+        flat = OpExpr(cs, _times(a, b).terms
+                      + _scaled(_times(b, a), sign).terms)
+        return draw(st.sampled_from((
+            (ab, flat), (ab, c), (ab, graded_commutator(a, c)),
+            (graded_commutator(c, ab), ab), (a @ b, b @ a),
+            (a @ b + b @ a, draw(st.sampled_from((c, zero)))))))
+    return pair()
+
+
 def _pair_lists(cs):
     """Lists of (lhs, rhs) pairs: a tree against its multiplied-out form,
     which agree everywhere, two unrelated trees, which mostly do not, a
-    pair of a shape the grading decides when its tree is homogeneous, or a
-    pair whose sides share terms or output monomials."""
+    pair of a shape the grading decides when its tree is homogeneous, a
+    pair whose sides share terms or output monomials, or a pair of
+    classical operators of bounded order."""
     agreeing = _pairs(cs)
     unrelated = st.tuples(_pairs(cs), _pairs(cs)).map(
         lambda ab: (ab[0][0], ab[1][0]))
     return st.lists(st.one_of(agreeing, unrelated, _graded_pairs(cs),
-                              _overlapping_pairs(cs)),
+                              _overlapping_pairs(cs),
+                              _first_order_pairs(cs)),
                     min_size=1, max_size=4)
 
 
@@ -575,9 +624,11 @@ def test_support_skip_and_shared_memo_keep_the_witness(cs, data):
     application of its residual lhs - rhs, decides a pair by grading when
     it has the diagonal shape, and a second call on the same nodes reads
     the images the first one stored, as a generator set's later checks
-    do; none of these changes its answer from that of the plain loop,
-    which applies each side apart and compares the images.  A
-    conjugation c (q^l, F, q^-l) against c q^k F is probed."""
+    do, and a pair whose sides have a finite differential order bound is
+    probed only up to that degree; none of these changes its answer from
+    that of the plain loop, which applies each side apart on every
+    monomial and compares the images.  A conjugation c (q^l, F, q^-l)
+    against c q^k F is probed."""
     for _ in range(2):
         pairs = data.draw(_pair_lists(cs))
         degree = data.draw(st.integers(0, 3))
@@ -679,11 +730,13 @@ def test_heisenberg_probes_each_pair_inside_its_support(monkeypatch):
     and 6 odd coordinates.  The grading decides 53 and 54, [M] x = x [M+1]
     and [M] D = D [M-1], so only 55 and 56, one per coordinate, are
     probed, each by one application of its residual lhs - rhs per
-    monomial."""
+    monomial: 28 calls.  56, D th + th D = 1 on an odd coordinate, is a
+    graded bracket of order 1 + 0 - 1 = 0 against the identity, so it is
+    probed at degree 0 only, on the monomial 1: 4 * 4 + 6 = 22 calls."""
     calls = _count_top_level_applies(monkeypatch)
     results = verify.check_heisenberg(CoordSystem(2, 1), 3)
     assert [r["status"] for r in results] == ["pass"]
-    assert calls[0] == 4 * 4 + 6 * 2 == 28
+    assert calls[0] == 4 * 4 + 6 * 1 == 22
 
 
 def _suite_instances(monkeypatch, check, *args):
@@ -833,7 +886,10 @@ def test_weight_conjugation_work_count(monkeypatch):
 def test_serre_memo_miss_count(monkeypatch):
     """Nested-node evaluations (memo misses) for CSerreA at (2,1),
     classical, degree 3.  Each miss stores one image, so this is the
-    number of images the suite's nested nodes hold at the end."""
+    number of images the suite's nested nodes hold at the end.  Probed up
+    to degree 3 the suite stored 2,510 images; each instance is a bracket
+    of first-order operators, of order 1, so it is probed at degree <= 1
+    only: 272."""
     gens = build_classical(build_root_data(2, 1))
     instances = _suite_instances(monkeypatch, verify.check_serre, gens,
                                  3)["CSerreA"]
@@ -845,7 +901,7 @@ def test_serre_memo_miss_count(monkeypatch):
         return store(img, pool)
     monkeypatch.setattr(operators, "_stored", counted)
     assert verify._run("CSerreA", 3, instances)["status"] == "pass"
-    assert stored[0] == 2510
+    assert stored[0] == 272
 
 
 def _record_stored(monkeypatch):
@@ -864,14 +920,15 @@ def _record_stored(monkeypatch):
 def test_images_live_and_die_with_the_generator_set(monkeypatch):
     """The images one suite stores serve a later suite on the same set,
     whose suites read the same e_i and root-vector nodes: classical AuxC17
-    at (2,1), degree 3, stores 2,461 images on a fresh set and 1 after
-    AuxC16.  And nothing the run returns or the package keeps holds an
-    image once the set is gone."""
+    at (2,1), degree 3, stores 235 images on a fresh set and 1 after
+    AuxC16.  Its instances have order 1, so they are probed at degree
+    <= 1; probed up to degree 3 it stored 2,461.  And nothing the run
+    returns or the package keeps holds an image once the set is gone."""
     stored = _record_stored(monkeypatch)
     gens = build_classical(build_root_data(2, 1))
     aux = _suite_instances(monkeypatch, verify.check_aux, gens, 3, 3)
     assert verify._run("AuxC17", 3, aux["AuxC17"])["status"] == "pass"
-    assert len(stored) == 2461
+    assert len(stored) == 235
     gens = build_classical(build_root_data(2, 1))
     aux = _suite_instances(monkeypatch, verify.check_aux, gens, 3, 3)
     assert verify._run("AuxC16", 3, aux["AuxC16"])["status"] == "pass"
@@ -922,6 +979,121 @@ def test_negative_degree_is_rejected():
         first_failure([(x(Z), OpExpr.zero(CS))], -1)
     with pytest.raises(ValueError):
         first_failure([], -1)
+
+
+# ---------------------------------------------------------------------------
+# differential order bounds
+# ---------------------------------------------------------------------------
+
+def _d(pos):
+    return OpExpr.term(CS, (("d", pos),))
+
+
+def _form(kind, form):
+    return OpExpr.term(CS, ((kind, form),))
+
+
+def test_order_of_each_elementary_kind():
+    """x and a form that reads no coordinate have order 0; d, D at an odd
+    position (the Grassmann derivative) and lin of a form that reads a
+    coordinate order 1; D at an even position and qpow or qnum of a form
+    that reads a coordinate are unbounded."""
+    reads, scalar = LinForm({Z: 1}, 1), LinForm(None, 2, ((1, 1),))
+    assert [x(p)._order for p in (Z, T1, T2)] == [0, 0, 0]
+    assert [_d(p)._order for p in (Z, T1, T2)] == [1, 1, 1]
+    assert [D(p)._order for p in (Z, T1, T2)] == [inf, 1, 1]
+    assert [_form(kind, reads)._order for kind in ("qpow", "qnum", "lin")] \
+        == [inf, inf, 1]
+    assert [_form(kind, scalar)._order
+            for kind in ("qpow", "qnum", "lin")] == [0, 0, 0]
+    assert OpExpr.identity(CS)._order == 0
+    assert OpExpr.zero(CS)._order == -1
+
+
+def test_order_of_products_and_sums():
+    """A product's bound is the sum of its factors', a sum's the max of
+    its terms', and one unbounded factor makes the whole bound unbounded."""
+    assert (x(Z) @ _d(Z) @ _d(T1))._order == 2
+    assert (x(Z) + x(Z) @ _d(Z) @ _d(Z))._order == 2
+    node = x(T1) + _d(T1)           # two terms, so a nested factor
+    assert (node @ node @ x(Z))._order == 2
+    assert (node @ D(Z))._order == inf
+    assert (node + D(Z) @ x(Z))._order == inf
+
+
+def test_a_graded_bracket_lowers_the_order():
+    """[A, B] has order ord A + ord B - 1, whether A and B are nested
+    nodes or factor runs that compose flattened; the multiplied-out
+    terms of a bracket of nested nodes are not lowered."""
+    a = x(Z) @ _d(Z) + _d(Z)       # nested: two terms
+    b = _d(Z) + x(Z)
+    nested = graded_commutator(a, b)
+    assert [type(f) for f in nested.terms[0][1]] == [OpExpr, OpExpr]
+    assert nested._order == 1
+    assert _times(a, b)._order == 2
+    flat = graded_commutator(_d(Z), x(Z) @ _d(Z))   # runs (d, x d)
+    assert flat.terms[0][1] == (("d", Z), ("x", Z), ("d", Z))
+    assert flat._order == 1
+    odd = graded_commutator(x(T1) @ _d(Z), _d(T2) @ _d(Z))
+    assert odd.terms[1][0] == ONE and odd._order == 2
+    # a twisted bracket d (x d) - q (x d) d is not lowered
+    assert graded_commutator(_d(Z), x(Z) @ _d(Z), qpow(1))._order == 2
+
+
+def test_the_odd_anticommutator_has_order_zero():
+    """D th + th D, Heis 56, is the graded bracket [D, th] of two odd
+    operators: order 1 + 0 - 1 = 0, so the pair against the identity is
+    probed on the monomial 1 alone."""
+    anti = D(T1) @ x(T1) + x(T1) @ D(T1)
+    assert anti._order == 0
+    assert first_failure([(anti, OpExpr.identity(CS))], 3) is None
+    wrong = OpExpr.identity(CS).scale(qpow(1))
+    assert first_failure([(anti, wrong)], 3)[1] == MONO_ONE
+
+
+def test_a_commutator_of_order_zero_factors_is_probed_nowhere(monkeypatch):
+    """x x - x x is the bracket [x, x], of order 0 + 0 - 1 = -1: the zero
+    operator, so the pair is not probed on any monomial."""
+    zero = x(Z) @ x(Z) - x(Z) @ x(Z)
+    assert zero._order == -1
+    applied = _record_applied(monkeypatch)
+    assert first_failure([(zero, OpExpr.zero(CS))], 3) is None
+    assert applied == []
+
+
+def test_an_even_anticommutator_is_not_lowered():
+    """d x + x d = 2 x d + 1 is a rotation with the wrong coefficient for
+    a bracket of even operators: it keeps order 1, and its first failure
+    against 2 x d is the monomial 1."""
+    anti = _d(Z) @ x(Z) + x(Z) @ _d(Z)
+    assert anti._order == 1
+    found = first_failure([(anti, (x(Z) @ _d(Z)).scale(
+        RingElem.from_rational(2)))], 3)
+    assert found[1] == MONO_ONE
+
+
+def test_a_mixed_parity_node_gets_no_lowering():
+    """A nested node of mixed parity has no graded bracket: A d - d A
+    with A = x + th keeps order 0 + 1 = 1, and computing it raises no
+    MixedParity, though parity() does."""
+    mixed = x(Z) + x(T1)
+    node = mixed @ _d(Z) - _d(Z) @ mixed
+    assert node.terms[1][1] == (("d", Z), mixed)
+    assert node._order == 1
+    with pytest.raises(MixedParity):
+        node.parity()
+
+
+def test_classical_generators_have_order_one_and_quantum_are_unbounded():
+    """Every classical e_i, f_i, h_i and root vector is of order 1; every
+    quantum generator and root vector reads a q-difference or a q-power
+    of the coordinates, so its bound is unbounded."""
+    classical = build_classical(build_root_data(2, 1))
+    quantum = build_quantum(build_root_data(2, 1))
+    for gens, want in ((classical, 1), (quantum, inf)):
+        ops = [*gens.e.values(), *gens.f.values(), *gens.roots.values()]
+        assert {op._order for op in ops} == {want}
+    assert {h._order for h in classical.t.values()} == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -1051,7 +1223,11 @@ def test_classical_run_work_count(monkeypatch):
     once, whose two sides' contributions to a monomial meet in one sum,
     made 57,338.  AuxC16's and AuxC17's rhs nu X t_i and -nu t_i^-1 X,
     with t_i -> 1, are now the table's node X nested once, (nu, (X,)), so
-    their images come from X's memo: 56,553 sums.
+    their images come from X's memo: 56,553 sums.  Each pair is now
+    probed only up to its differential order: 1 for C4, CSerreA,
+    CSerreOdd, AuxC16, AuxC17 and AuxC19, 2 for OddNil and 0 for Heis 56;
+    Heis 55, whose D at an even position is a q-difference, is probed up
+    to degree 3 as before: 3,242 sums.
     """
     sums, applies, per_suite = [0], [0], {}
     kernel = operators.sum_of_products
@@ -1078,4 +1254,4 @@ def test_classical_run_work_count(monkeypatch):
     for tag in ("C1", "C2", "C3", "WeightConj"):
         assert per_suite[tag][0] == 0, tag
     assert per_suite["AuxC18"] == (0, 0)
-    assert sums[0] == 56553
+    assert sums[0] == 3242

@@ -467,6 +467,31 @@ def test_sums_that_cancel_a_denominator():
     assert (lo * hi).denom_pow == 1
 
 
+def test_a_unit_times_a_canonical_factor_is_not_scanned(monkeypatch):
+    """A product one of whose factors is a single term, a unit, is not
+    scanned for (q^2 - 1) when the other factor is canonical with k > 0
+    or a unit too; it is scanned, and cancels, when the other has k = 0
+    and its numerator q - q^-1 is divisible: (q - q^-1) / (q - q^-1) is
+    1 in either order."""
+    scans = [0]
+    flags = scalars._flags
+
+    def counted(n):
+        scans[0] += 1
+        return flags(n)
+    monkeypatch.setattr(scalars, "_flags", counted)
+    pole = _over(ONE, 1)            # q / (q^2 - 1): a unit over k = 1
+    marker = qnum(1, ((1, 1),))     # [1 + lambda_1]: canonical, k = 1
+    assert len(pole._n) == 1 and marker.denom_pow == 1
+    scans[0] = 0
+    for x, y in ((marker, qpow(3)), (qpow(3), marker), (pole, pole),
+                 (pole, marker)):
+        assert _is_canonical(x * y)
+    assert scans[0] == 0
+    assert _S * pole == pole * _S == ONE
+    assert scans[0] == 2            # one scan each, then one division
+
+
 def test_exponents_past_the_packed_field_raise():
     with pytest.raises(OverflowError):
         qpow(LIMIT + 1)

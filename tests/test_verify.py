@@ -1,10 +1,11 @@
 """Tests for the relation-suite runner and its reports."""
 
 import json
+from math import inf
 
 import pytest
 
-from qsuperalg import scalars, verify
+from qsuperalg import operators, scalars, verify
 from qsuperalg.scalars import RingElem, qpow
 from qsuperalg.superpoly import CoordSystem, mono_render, poly_render
 from qsuperalg.operators import OpExpr, graded_commutator, first_failure
@@ -198,6 +199,19 @@ def test_cancellation_work_is_pinned(monkeypatch):
     assert scans[0] == 0
 
 
+def test_flag_scans_are_pinned(monkeypatch):
+    """(q^2 - 1) scans on run_full(2, 1, 2, 3, "prop3"): a product of a
+    unit, one term, and a factor (q^2 - 1) does not divide is not
+    scanned.  Scanning every product with k > 0 took 18,307 scans; now
+    14,383, with the same 5,140 divisions.  q-numbers are cached, so the
+    cache is emptied first: the count is that of a fresh process."""
+    scalars.qnum.cache_clear()
+    divisions = _counted(monkeypatch, "_div_qsq1")
+    scans = _counted(monkeypatch, "_flags")
+    assert run_full(2, 1, degree=2, nmax=3, variant="prop3").ok
+    assert (scans[0], divisions[0]) == (14383, 5140)
+
+
 def test_suite_timings_are_recorded():
     report = run_full(1, 0, degree=2)
     assert all(s["millis"] >= 0 for s in report.suites)
@@ -376,3 +390,75 @@ def test_corrupted_classical_sets_keep_the_bracket_verdicts(monkeypatch):
     assert len(swapped) == 7
     for MN, name in swapped:
         assert {(MN, name, "C3"), (MN, name, "WeightConj")} <= failing
+
+
+# (family, index, mutation) of each mutated classical set
+_MUTATIONS = (("e", 1, "sign"), ("f", 1, "reversed"), ("e", 2, "d->x"),
+              ("f", 2, "drop"), ("f", 3, "2x"), ("e", 1, "dd"),
+              ("f", 2, "dd"))
+
+
+def _mutated(op, mutation):
+    """The classical generator op with one mutation, as a wrong listing
+    would state it: its first term negated, with its first d read as x,
+    or scaled by 2, its last term reversed or dropped, or "dd", the first
+    term times d(1,1) added, a second-order term of the same parity (e_1
+    is d(1,1), so e_1 gains 3 d(1,1) d(1,1))."""
+    (c, ops), *rest = op.terms
+    if mutation == "sign":
+        terms = [(-c, ops)] + rest
+    elif mutation == "reversed":
+        *rest, (c, ops) = op.terms
+        terms = rest + [(c, ops[::-1])]
+    elif mutation == "d->x":
+        k = [kind for kind, _ in ops].index("d")
+        terms = [(c, ops[:k] + (("x", ops[k][1]),) + ops[k + 1:])] + rest
+    elif mutation == "2x":
+        terms = [(c * RingElem.from_rational(2), ops)] + rest
+    elif mutation == "drop":
+        terms = op.terms[:-1]
+    else:
+        terms = op.terms + ((RingElem.from_rational(3), ops + (("d", 0),)),)
+    return OpExpr(op.cs, terms)
+
+
+def _mutant_verdicts(MN):
+    """Each mutated classical set's suites at MN, degree 3, nmax 2, and
+    Heis: (mutation, suite id, status, witness) for every suite."""
+    data = build_root_data(*MN)
+    out = []
+    for fam, i, mutation in _MUTATIONS:
+        gens = build_classical(data)
+        e, f = dict(gens.e), dict(gens.f)
+        gen = e if fam == "e" else f
+        gen[i] = _mutated(gen[i], mutation)
+        mutated = GeneratorSet(data, gens.cs, "classical", None, gens.t,
+                               e, f, gens.t_form)
+        suites = (check_cartan_relations(mutated, 3)
+                  + verify.check_serre(mutated, 3)
+                  + check_aux(mutated, 3, 2)
+                  + check_weight_conjugation(mutated, 3)
+                  + check_highest_weight(mutated))
+        out += [("%s_%d %s" % (fam, i, mutation), s["id"], s["status"],
+                 s["witness"]) for s in suites]
+    out += [("-", s["id"], s["status"], s["witness"])
+            for s in check_heisenberg(CoordSystem(*MN), 3)]
+    return out
+
+
+@pytest.mark.parametrize("MN", [(1, 1), (2, 1)], ids=["(1,1)", "(2,1)"])
+def test_order_bound_keeps_every_mutant_verdict(monkeypatch, MN):
+    """On mutated classical sets at degree 3, among them sets with a
+    second-order term d d, each suite's status and witness are those of
+    the same run with every order bound unbounded, which probes each
+    pair on every basis monomial up to the degree."""
+    bounded = _mutant_verdicts(MN)
+    with monkeypatch.context() as mp:
+        mp.setattr(operators, "_order", lambda cs, terms: inf)
+        unbounded = _mutant_verdicts(MN)
+    assert bounded == unbounded
+    failed = {(name, tag) for name, tag, status, _ in bounded
+              if status == "fail"}
+    # a d d term breaks the brackets it enters
+    assert ("e_1 dd", "C4") in failed and ("f_2 dd", "AuxC19") in failed
+    assert len({name for name, _ in failed}) == len(_MUTATIONS)
