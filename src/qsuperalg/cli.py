@@ -20,7 +20,7 @@ import re
 import sys
 
 from . import superpoly as sp
-from .operators import ELEMENTARY, OpExpr, graded_commutator
+from .operators import ELEMENTARY, graded_commutator
 from .algebra import (build_root_data, build_quantum, build_generators,
                       check_linform_identities)
 from .verify import run_full
@@ -145,7 +145,7 @@ def cmd_example_sl21(cfg, out):
     gens = build_quantum(data, cfg.weights, "prop3")
     cs = gens.cs
     bracket = graded_commutator(gens.e[2], gens.f[2])
-    eigen = OpExpr.term(cs, (("qnum", gens.t_form[2]),))
+    eigen = gens.cartan(2)
     lines = ["concrete check in U_q(sl(2|1)): [e2,f2] vs (t2-t2^-1)/(q-q^-1)",
              "e2 = " + gens.e[2].render(),
              "f2 = " + gens.f[2].render(),

@@ -130,10 +130,11 @@ Each node carries an order bound, computed once when it is built (the
     coordinate, q-difference operators: unbounded (inf);
   * a product: the sum of its factors' bounds, inf as soon as one is; a
     sum: the max of its terms', -1 for the zero operator;
-  * a node of two terms (c, A B) + (-(-1)^{|A||B|} c, B A), A and B
-    nested nodes or the factor runs ``compose`` flattened, is c [A, B]:
-    ord A + ord B - 1.  A rotation with another coefficient (an even
-    a b + b a) is no bracket, and a run of mixed parity gets no lowering.
+  * the plain bracket [A, B] that ``graded_commutator`` builds: at most
+    ord A + ord B - 1, A and B homogeneous or A even.  The bound is stated
+    there, where the bracket is built, and nowhere else: the same terms
+    written by hand with ``+``, or a twisted bracket, keep their terms'
+    bound, which is looser but still sound.
 
 So ``first_failure`` probes a pair whose sides have bounds s_a and s_b
 only on the basis monomials of degree <= min(degree, max(s_a, s_b)),
@@ -362,9 +363,15 @@ class OpExpr:
 
     def parity(self):
         """Common Z2 parity of all terms (0 for the empty expression)."""
-        par = None
+        cs, par = self.cs, None
         for _, ops in self.terms:
-            p = _run_parity(self.cs, ops)
+            p = 0
+            for op in ops:
+                if isinstance(op, OpExpr):
+                    p += op.parity()
+                elif ELEMENTARY[op[0]].step and cs.odd[op[1]]:
+                    p += 1
+            p &= 1
             if par is None:
                 par = p
             elif par != p:
@@ -480,18 +487,6 @@ def _support(terms):
     return mask
 
 
-def _run_parity(cs, ops):
-    """The Z2 parity of the product of ``ops``; a nested node of mixed
-    parity raises ``MixedParity``."""
-    p = 0
-    for op in ops:
-        if isinstance(op, OpExpr):
-            p += op.parity()
-        elif ELEMENTARY[op[0]].step and cs.odd[op[1]]:
-            p += 1
-    return p & 1
-
-
 def _run_order(cs, ops):
     """The order bound of the product of ``ops``: the sum of its factors',
     ``inf`` as soon as one factor is unbounded."""
@@ -514,26 +509,12 @@ def _run_order(cs, ops):
 
 def _order(cs, terms):
     """The order bound of a sum of terms: the max of its terms', -1 for
-    the zero operator, lowered to ord A + ord B - 1 for a graded bracket
-    (c, A B) + (-(-1)^{|A||B|} c, B A), A and B nested nodes or factor
-    runs (see the module docstring)."""
+    the zero operator."""
     bound = -1
     for _, ops in terms:
         bound = max(bound, _run_order(cs, ops))
         if bound == inf:
-            return inf
-    if len(terms) == 2:
-        (c, ops), (c2, ops2) = terms
-        for k in range(1, len(ops)):
-            a, b = ops[:k], ops[k:]
-            if ops2 != b + a:
-                continue
-            try:
-                both_odd = _run_parity(cs, a) & _run_parity(cs, b)
-            except MixedParity:
-                continue    # no graded bracket: no lowering
-            if c2 == (c if both_odd else -c):
-                bound = min(bound, _run_order(cs, a) + _run_order(cs, b) - 1)
+            break
     return bound
 
 
@@ -652,11 +633,20 @@ def _run(cs, ops, m, c):
 
 
 def graded_commutator(a, b, xi=None):
-    """[a, b]_xi = a b - (-1)^{|a||b|} xi b a; xi defaults to 1."""
+    """[a, b]_xi = a b - (-1)^{|a||b|} xi b a; xi defaults to 1.
+
+    The plain bracket has order <= ord a + ord b - 1, which lowers the
+    node's bound (see the module docstring).  ``parity`` has raised
+    ``MixedParity`` on a mixed a, and on a mixed b when a is odd; for an
+    even a the bracket is a b - b a, linear in b, so the bound holds for
+    each of b's parity parts."""
     factor = ONE if (a.parity() and b.parity()) else MINUS_ONE
     if xi is not None:
         factor = factor * xi
-    return a.compose(b) + b.compose(a).scale(factor)
+    node = a.compose(b) + b.compose(a).scale(factor)
+    if xi is None:
+        node._order = min(node._order, a._order + b._order - 1)
+    return node
 
 
 # ---------------------------------------------------------------------------

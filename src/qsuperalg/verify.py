@@ -51,12 +51,14 @@ classical suites from low degrees.  Every classical e_i, f_i, h_i and
 root vector has order 1, and so does every bracket of them, so C4,
 CSerreA, CSerreOdd, AuxC16, AuxC17 and AuxC19 are probed at degree <= 1
 and, when they pass, hold at every degree; OddNil (e_{M+1}^2 and
-f_{M+1}^2, order 2) is probed at degree <= 2; Heis 56, D th + th D = 1
-on an odd coordinate, is a bracket of order 0 and is probed on the
-monomial 1 alone, in both variants.  A failing suite keeps the witness of
-the probe up to ``degree``.  Every quantum generator holds a
-q-difference, which has no finite order, so every quantum pair but Heis
-56 is probed up to ``degree``, and so is Heis 55 in both variants.
+f_{M+1}^2, order 2) is probed at degree <= 2.  Heis 55 and 56 are built
+by ``graded_commutator``, which bounds a bracket: Heis 56, [D, th] = 1 on
+an odd coordinate, has order 1 + 0 - 1 = 0 and is probed on the monomial
+1 alone; Heis 55, [D, z] = [M+1] - [M] on an even coordinate, holds the
+q-difference D and is probed up to ``degree``; both in both variants.  A
+failing suite keeps the witness of the probe up to ``degree``.  Every
+quantum generator holds a q-difference, which has no finite order, so
+every quantum pair but Heis 56 is probed up to ``degree``.
 
 AuxQ41 (AuxC18 classically) at n = 1 is the table's own bracket: with
 X = X(j,i-1), [f_i, X]_{q^{-nu_i}} (plain classically) against X(j,i),
@@ -332,11 +334,10 @@ def check_heisenberg(cs, degree):
             dop = OpExpr.term(cs, (("D", pos),))
             yield "53" + label, num @ xop, xop @ num_p1
             yield "54" + label, num @ dop, dop @ num_m1
-            if cs.odd[pos]:
-                yield ("56" + label, dop @ xop + xop @ dop,
-                       OpExpr.identity(cs))
-            else:
-                yield "55" + label, dop @ xop - xop @ dop, num_p1 - num
+            # [D, th] = 1 on an odd coordinate, [D, z] = [M+1] - [M]
+            tag, rhs = (("56", OpExpr.identity(cs)) if cs.odd[pos]
+                        else ("55", num_p1 - num))
+            yield tag + label, graded_commutator(dop, xop), rhs
 
     return [_run("Heis", degree, instances())]
 

@@ -1044,7 +1044,8 @@ def test_the_odd_anticommutator_has_order_zero():
     """D th + th D, Heis 56, is the graded bracket [D, th] of two odd
     operators: order 1 + 0 - 1 = 0, so the pair against the identity is
     probed on the monomial 1 alone."""
-    anti = D(T1) @ x(T1) + x(T1) @ D(T1)
+    anti = graded_commutator(D(T1), x(T1))
+    assert anti.terms == (D(T1) @ x(T1) + x(T1) @ D(T1)).terms
     assert anti._order == 0
     assert first_failure([(anti, OpExpr.identity(CS))], 3) is None
     wrong = OpExpr.identity(CS).scale(qpow(1))
@@ -1054,7 +1055,7 @@ def test_the_odd_anticommutator_has_order_zero():
 def test_a_commutator_of_order_zero_factors_is_probed_nowhere(monkeypatch):
     """x x - x x is the bracket [x, x], of order 0 + 0 - 1 = -1: the zero
     operator, so the pair is not probed on any monomial."""
-    zero = x(Z) @ x(Z) - x(Z) @ x(Z)
+    zero = graded_commutator(x(Z), x(Z))
     assert zero._order == -1
     applied = _record_applied(monkeypatch)
     assert first_failure([(zero, OpExpr.zero(CS))], 3) is None
@@ -1062,8 +1063,8 @@ def test_a_commutator_of_order_zero_factors_is_probed_nowhere(monkeypatch):
 
 
 def test_an_even_anticommutator_is_not_lowered():
-    """d x + x d = 2 x d + 1 is a rotation with the wrong coefficient for
-    a bracket of even operators: it keeps order 1, and its first failure
+    """d x + x d = 2 x d + 1 is no bracket of even operators: written
+    with +, it keeps its terms' bound 1, and its first failure
     against 2 x d is the monomial 1."""
     anti = _d(Z) @ x(Z) + x(Z) @ _d(Z)
     assert anti._order == 1
@@ -1072,16 +1073,31 @@ def test_an_even_anticommutator_is_not_lowered():
     assert found[1] == MONO_ONE
 
 
-def test_a_mixed_parity_node_gets_no_lowering():
-    """A nested node of mixed parity has no graded bracket: A d - d A
-    with A = x + th keeps order 0 + 1 = 1, and computing it raises no
-    MixedParity, though parity() does."""
+def test_a_bracket_of_a_mixed_parity_operand_is_refused():
+    """A = z + th has no parity, so [A, d] and [th, A] are no graded
+    brackets: graded_commutator raises MixedParity before it builds a
+    node.  [d, A] with d even is the commutator d A - A d, linear in A, so
+    its bound 1 + 0 - 1 = 0 holds: it is 1 on every monomial."""
     mixed = x(Z) + x(T1)
-    node = mixed @ _d(Z) - _d(Z) @ mixed
-    assert node.terms[1][1] == (("d", Z), mixed)
-    assert node._order == 1
     with pytest.raises(MixedParity):
-        node.parity()
+        graded_commutator(mixed, _d(Z))
+    with pytest.raises(MixedParity):
+        graded_commutator(x(T1), mixed)
+    even = graded_commutator(_d(Z), mixed)
+    assert even._order == 0
+    for mono in basis_monomials(CS, 3):
+        assert even.apply_monomial(mono) == {mono: ONE}
+
+
+def test_a_rotation_written_by_hand_keeps_its_term_bound():
+    """Only graded_commutator lowers a bound: the terms of [x d, d] written
+    with + keep order 1 + 1 = 2, a looser but sound bound, while the
+    bracket built from the same operands has order 1."""
+    a = x(Z) @ _d(Z)
+    by_hand = a @ _d(Z) - _d(Z) @ a
+    built = graded_commutator(a, _d(Z))
+    assert by_hand.terms == built.terms
+    assert (by_hand._order, built._order) == (2, 1)
 
 
 def test_classical_generators_have_order_one_and_quantum_are_unbounded():

@@ -16,6 +16,7 @@ from qsuperalg.verify import (run_full, check_cartan_relations,
                               check_aux, check_weight_conjugation,
                               check_heisenberg, check_highest_weight)
 from test_golden_reports import timing_free
+from test_operators import _count_top_level_applies, _suite_instances
 
 
 QUANTUM_SUITES = {"Q20", "Q21", "Q22", "Q23", "QSerreA", "QSerreOdd",
@@ -451,14 +452,51 @@ def test_order_bound_keeps_every_mutant_verdict(monkeypatch, MN):
     """On mutated classical sets at degree 3, among them sets with a
     second-order term d d, each suite's status and witness are those of
     the same run with every order bound unbounded, which probes each
-    pair on every basis monomial up to the degree."""
+    pair on every basis monomial up to the degree.  Every node's bound
+    is read from its terms by ``_order``, and graded_commutator lowers it
+    from its operands' bounds, so with ``_order`` unbounded every bound
+    is, and the run applies more operators."""
+    calls = _count_top_level_applies(monkeypatch)
     bounded = _mutant_verdicts(MN)
+    applied = calls[0]
     with monkeypatch.context() as mp:
         mp.setattr(operators, "_order", lambda cs, terms: inf)
         unbounded = _mutant_verdicts(MN)
     assert bounded == unbounded
+    assert calls[0] - applied > applied
     failed = {(name, tag) for name, tag, status, _ in bounded
               if status == "fail"}
     # a d d term breaks the brackets it enters
     assert ("e_1 dd", "C4") in failed and ("f_2 dd", "AuxC19") in failed
     assert len({name for name, _ in failed}) == len(_MUTATIONS)
+
+
+@pytest.mark.parametrize("MN", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 0)],
+                         ids=["(1,1)", "(2,1)", "(1,2)", "(2,2)", "(3,0)"])
+def test_each_suite_keeps_its_order_bound(monkeypatch, MN):
+    """The larger of a pair's two bounds, its probe's degree cap, is per
+    suite: classically 1 for the brackets C4, CSerreA, CSerreOdd and
+    AuxC16-AuxC19 and for HighestWeight, 2 for the products C1-C3,
+    WeightConj and OddNil; quantum unbounded.  In both variants Heis 56,
+    the bracket [D, th], is 0, and Heis 53-55 read a q-number of a
+    coordinate and are unbounded."""
+    data = build_root_data(*MN)
+    for build, bounds in (
+            (build_classical, dict.fromkeys(
+                ("C4", "CSerreA", "CSerreOdd", "AuxC16", "AuxC17",
+                 "AuxC18", "AuxC19", "HighestWeight"), 1)
+             | dict.fromkeys(("C1", "C2", "C3", "WeightConj", "OddNil"), 2)),
+            (build_quantum, dict.fromkeys(QUANTUM_SUITES - {"Heis"}, inf))):
+        gens = build(data)
+        stated, _ = _stated_and_checked(monkeypatch, gens, 0)
+        for label, lhs, rhs in _suite_instances(
+                monkeypatch, check_heisenberg, gens.cs, 0)["Heis"]:
+            stated.setdefault("Heis " + label[:2], []).append(
+                (label, lhs, rhs))
+        got = {tag: max(max(lhs._order, rhs._order)
+                        for _, lhs, rhs in instances)
+               for tag, instances in stated.items() if instances}
+        want = {tag: s for tag, s in bounds.items() if stated[tag]}
+        want |= {"Heis 53": inf, "Heis 54": inf, "Heis 55": inf,
+                 "Heis 56": 0}
+        assert got == want, (MN, build.__name__)
